@@ -8,7 +8,6 @@ Feature tensors are plain C-contiguous float64 ndarrays laid out
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatchError(ValueError):
@@ -28,6 +27,11 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
 
     padding may be a single int or a (ph, pw) pair. Output spatial size is
     (H + 2*ph - kh)//stride + 1 per axis.
+
+    Evaluated as im2col plus one GEMM: each kernel tap (i, j) copies its
+    strided window of the padded input into a (B, Cin, kh, kw, Ho, Wo)
+    buffer, which a single matmul with the (Cout, Cin*kh*kw) kernel
+    contracts.
     """
     x = as_grid(x, 4)
     k = as_grid(kernel, 4)
@@ -44,15 +48,22 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
     if xp.shape[2] < kh or xp.shape[3] < kw:
         raise ShapeMismatchError(
             f"padded input {xp.shape[2]}x{xp.shape[3]} smaller than kernel {kh}x{kw}")
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.einsum("bchwkl,ockl->bohw", win, k, optimize=True)
+    bsz = x.shape[0]
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    cols = np.empty((bsz, cin, kh, kw, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    out = np.matmul(k.reshape(cout, -1), cols.reshape(bsz, -1, ho * wo))
+    out = out.reshape(bsz, cout, ho, wo)
     if bias is not None:
         b = as_grid(bias, 1)
         if b.shape != (cout,):
             raise ShapeMismatchError(
                 f"bias length {b.shape[0]} does not match output channels {cout}")
         out += b[None, :, None, None]
-    return np.ascontiguousarray(out)
+    return out
 
 
 def bilinear_sample(x, points) -> np.ndarray:

@@ -311,8 +311,7 @@ def save_dsf_params(path, params: DsfParams) -> None:
     write_map(path, _param_sections(params))
 
 
-def load_dsf_params(path, activation: str = "logistic",
-                    offset_bound: float = 1.0) -> DsfParams:
+def load_dsf_params(path, activation: str = "logistic") -> DsfParams:
     """Rebuild parameters from named tensor sections written by save_dsf_params."""
     from .dataio import MapFileError, read_map
 
@@ -325,10 +324,8 @@ def load_dsf_params(path, activation: str = "logistic",
             d = sections[p + "w_q"].shape[0]
             blocks.append(BlockParams(
                 conv_w=sections[p + "conv_w"], conv_b=sections[p + "conv_b"],
-                snake_h=SnakeKernel(HORIZONTAL, sections[p + "snake_h_w"],
-                                    offset_bound=offset_bound),
-                snake_v=SnakeKernel(VERTICAL, sections[p + "snake_v_w"],
-                                    offset_bound=offset_bound),
+                snake_h=SnakeKernel(HORIZONTAL, sections[p + "snake_h_w"]),
+                snake_v=SnakeKernel(VERTICAL, sections[p + "snake_v_w"]),
                 attention=AttentionParams(
                     w_q=sections[p + "w_q"], w_k=sections[p + "w_k"],
                     b_q=sections[p + "b_q"], b_k=sections[p + "b_k"],

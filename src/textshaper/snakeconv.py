@@ -6,6 +6,11 @@ adds the base unit step along the kernel axis plus a clamped fractional
 2-d displacement, accumulated cumulatively. With zero offsets this reduces
 exactly to a standard 1-d convolution; with small offsets the taps snake
 along thin structures. Samples are gathered bilinearly with zero padding.
+
+Evaluation is one GEMM per tap. Each tap's weight slice contracts the input
+channels first, and only the Cout-channel result is moved to the tap's
+sample positions: shifted as a slice for a straight kernel, gathered
+bilinearly for an offset one.
 """
 
 from __future__ import annotations
@@ -110,6 +115,16 @@ def tap_positions(kernel: SnakeKernel, h: int, w: int) -> np.ndarray:
 def dsc_forward(x, kernel: SnakeKernel) -> np.ndarray:
     """Snake convolution of (B,Cin,H,W), producing (B,Cout,H,W).
 
+    Evaluated one tap at a time, channels first: the tap's (Cout, Cin)
+    weight slice multiplies every pixel in one GEMM, y_t = W_t @ x, and
+    y_t is then placed at the tap's sample positions. Because sampling is
+    linear and shared across channels this equals sampling x and
+    contracting afterwards, but gathers Cout channels instead of Cin. A
+    straight kernel (offsets=None) samples on whole-pixel shifts along its
+    axis, so y_t is added as a shifted slice with no gather at all; a tap
+    that shifts the whole axis out of the frame is skipped. Only one tap's
+    y_t is alive at a time.
+
     Output is linear in the input for fixed offsets. Zero offsets reproduce
     a zero-padded standard 1xL (or Lx1) convolution with the same weights.
     """
@@ -118,11 +133,31 @@ def dsc_forward(x, kernel: SnakeKernel) -> np.ndarray:
     if cin != kernel.cin:
         raise ShapeMismatchError(
             f"input channel dimension {cin} does not match kernel input channels {kernel.cin}")
-    pos = tap_positions(kernel, h, w)
-    flat = x.reshape(b * cin, h, w)
-    out = np.zeros((b, kernel.cout, h * w))
-    for t in range(kernel.length):
-        pts = pos[t].reshape(2, -1).T
-        samp = bilinear_sample(flat, pts).reshape(b, cin, h * w)
-        out += np.einsum("oc,bcn->bon", kernel.weights[:, :, t], samp, optimize=True)
-    return np.ascontiguousarray(out.reshape(b, kernel.cout, h, w))
+    cout, length = kernel.cout, kernel.length
+    center = length // 2
+    pos = None if kernel.offsets is None else tap_positions(kernel, h, w)
+    axis_len = w if kernel.axis == HORIZONTAL else h
+    # (cout, length, cin): each tap's weight slice has unit stride along cin,
+    # so it feeds BLAS directly.
+    taps = np.ascontiguousarray(kernel.weights.transpose(0, 2, 1))
+    x_flat = x.reshape(b, cin, h * w)
+    y_t = np.empty((b, cout, h * w))
+    out = np.zeros((b, cout, h, w))
+    for t in range(length):
+        k = t - center
+        if pos is None and abs(k) >= axis_len:
+            continue
+        np.matmul(taps[:, t], x_flat, out=y_t)
+        if pos is not None:
+            pts = pos[t].reshape(2, -1).T
+            out += bilinear_sample(y_t.reshape(b * cout, h, w), pts).reshape(b, cout, h, w)
+            continue
+        # out[..., p] += y_t[..., p + k] along the kernel axis, zero beyond the border.
+        src = y_t.reshape(b, cout, h, w)
+        dst_ax = slice(max(-k, 0), axis_len - max(k, 0))
+        src_ax = slice(max(k, 0), axis_len - max(-k, 0))
+        if kernel.axis == HORIZONTAL:
+            out[:, :, :, dst_ax] += src[:, :, :, src_ax]
+        else:
+            out[:, :, dst_ax] += src[:, :, src_ax]
+    return out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from textshaper.grids import (ShapeMismatchError, bilinear_sample, conv2d, logistic,
                               resize_bilinear, row_softmax, upsample2x)
@@ -97,6 +98,37 @@ class TestConv2d:
     def test_bad_bias_length(self):
         with pytest.raises(ShapeMismatchError, match="bias"):
             conv2d(np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), bias=np.zeros(3))
+
+
+def conv2d_einsum_oracle(x, k, bias, stride, padding):
+    """Reference cross-correlation: sliding_window_view windows contracted by einsum."""
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, k.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.einsum("bchwkl,ockl->bohw", win, k, optimize=True)
+    return out + bias[None, :, None, None]
+
+
+class TestConv2dPyramidShapes:
+    """im2col conv2d against the einsum oracle at the pyramid's layer shapes."""
+
+    @pytest.mark.parametrize("cin,cout,ksize,stride,padding,side", [
+        (512, 256, 3, 1, 1, 6),    # level 3x3 conv, coarsest levels
+        (512, 256, 3, 1, 1, 12),
+        (256, 256, 3, 2, 1, 16),   # strided backbone stub conv
+        (512, 256, 1, 1, 0, 12),   # 1x1 projection
+        (256, 7, 3, 1, 1, 12),     # detection head
+    ])
+    def test_matches_einsum_oracle(self, cin, cout, ksize, stride, padding, side):
+        rng = np.random.default_rng(cin + cout + side)
+        x = rng.normal(size=(1, cin, side, side))
+        k = rng.uniform(-0.05, 0.05, size=(cout, cin, ksize, ksize))
+        bias = rng.uniform(-0.05, 0.05, size=cout)
+        want = conv2d_einsum_oracle(x, k, bias, stride, padding)
+        got = conv2d(x, k, bias, stride=stride, padding=padding)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestBilinearSample:

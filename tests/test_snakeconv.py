@@ -37,6 +37,39 @@ class TestDegenerateSnake:
         np.testing.assert_allclose(interior, c * 0.3 * length, atol=1e-12)
 
 
+class TestStraightMatchesGather:
+    """The shifted-slice path (offsets=None) against the bilinear gather path
+    with all-zero offsets, which samples the same whole-pixel positions."""
+
+    @staticmethod
+    def both_paths(x, weights, axis):
+        _, _, h, w = x.shape
+        straight = dsc_forward(x, SnakeKernel(axis, weights))
+        zeros = np.zeros((2 * weights.shape[2], h, w))
+        gathered = dsc_forward(x, SnakeKernel(axis, weights, offsets=zeros))
+        return straight, gathered
+
+    @pytest.mark.parametrize("axis", [HORIZONTAL, VERTICAL])
+    def test_batch_and_unequal_channels(self, axis):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 5, 7, 6))
+        weights = rng.normal(size=(3, 5, 5))
+        straight, gathered = self.both_paths(x, weights, axis)
+        assert straight.shape == (2, 3, 7, 6)
+        assert np.max(np.abs(straight - gathered)) < 1e-12
+
+    @pytest.mark.parametrize("axis", [HORIZONTAL, VERTICAL])
+    def test_taps_beyond_short_axis(self, axis):
+        # Length 9 on a 3-pixel axis: taps -4, -3, 3 and 4 miss every pixel.
+        rng = np.random.default_rng(22)
+        shape = (1, 4, 5, 3) if axis == HORIZONTAL else (1, 4, 3, 5)
+        x = rng.normal(size=shape)
+        weights = rng.normal(size=(2, 4, 9))
+        straight, gathered = self.both_paths(x, weights, axis)
+        assert np.max(np.abs(straight - gathered)) < 1e-12
+        assert np.max(np.abs(straight - straight_conv(x, weights, axis))) < 1e-12
+
+
 def test_impulse_with_half_offset_splits_between_neighbors():
     # Impulse at (2, 2); the tap one step right of center carries a +0.5
     # perpendicular (dy) displacement, so its sample position for output
