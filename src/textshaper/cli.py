@@ -18,27 +18,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (AnnotationError, ImageFormatError, MapFileError, SynthBand, SynthSpec,
-                     draw_polygon_outline, parse_annotations, read_geometry_maps, read_pgm,
-                     synth_maps, write_annotations, write_geometry_maps, write_ppm)
+from .dataio import (SynthBand, SynthSpec, draw_polygon_outline, parse_annotations,
+                     read_geometry_maps, read_pgm, synth_maps, write_annotations,
+                     write_geometry_maps, write_ppm)
 from .evaluation import ImageCounts, aggregate, format_report, match_image, report_lines
 from .geometry import RotatedRect, TextPolygon, normalize_angle
-from .grids import ShapeMismatchError, resize_bilinear
+from .grids import resize_bilinear
 from .pyramid import (PyramidSpec, backbone_stub, dsf_forward, geometry_maps_from_head,
                       init_dsf_params, init_stub_params)
 from .shaping import (OVERLAP_COUNTER, ShapingConfig, farthest_point_sample_indices,
                       nms_baseline, shape_text)
 
-_CLI_ERRORS = (AnnotationError, ImageFormatError, MapFileError, ShapeMismatchError,
-               ValueError, OSError)
+# Every library error type subclasses ValueError.
+_CLI_ERRORS = (ValueError, OSError)
 
 
 def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
     d = ShapingConfig()
-    p.add_argument("--text-thresh", type=float, default=d.text_thresh,
-                   help="text map binarization threshold")
     p.add_argument("--center-thresh", type=float, default=d.center_thresh,
-                   help="center-region map binarization threshold")
+                   help="center map threshold")
     p.add_argument("--rect-width", type=float, default=d.rect_width,
                    help="fixed component rectangle width (map px)")
     p.add_argument("--fps-budget", type=int, default=d.fps_budget,
@@ -55,8 +53,7 @@ def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
 
 def _shaping_config(args) -> ShapingConfig:
     return ShapingConfig(
-        text_thresh=args.text_thresh, center_thresh=args.center_thresh,
-        rect_width=args.rect_width, fps_budget=args.fps_budget,
+        center_thresh=args.center_thresh, rect_width=args.rect_width, fps_budget=args.fps_budget,
         fps_stop_dist=args.fps_stop_dist, close_kernel=args.close_kernel,
         min_area=args.min_area, center_mode=args.center_mode)
 
@@ -65,11 +62,10 @@ def cmd_shape(args) -> int:
     cfg = _shaping_config(args)
     scale = args.scale
     if args.image is not None:
-        image = read_pgm(args.image)
         size = args.resize
-        if size % 32:
-            raise ValueError(f"--resize must be divisible by 32, got {size}")
-        image = resize_bilinear(image, size, size)
+        if size < 32 or size % 32:
+            raise ValueError(f"--resize must be a positive multiple of 32, got {size}")
+        image = resize_bilinear(read_pgm(args.image), size, size)
         spec = PyramidSpec()
         feats = backbone_stub(image, init_stub_params(args.seed, channels=spec.channels))
         out = dsf_forward(feats, init_dsf_params(spec, args.seed), spec)
@@ -149,6 +145,8 @@ def cmd_bench(args) -> int:
     k = args.n_candidates
     if k < 1:
         raise ValueError(f"--n-candidates must be >= 1, got {k}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     width = args.rect_width
     fps_times, nms_times = [], []
     fps_ops = nms_ops = 0
@@ -228,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bottom-up text shaping, evaluation, and benchmarking tools.")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    d = ShapingConfig()
 
     p = sub.add_parser("shape", formatter_class=fmt,
                        help="shape head maps into text polygons")
@@ -260,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-candidates", type=int, default=2000, help="candidate count K")
     p.add_argument("--trials", type=int, default=20, help="timed trials")
     p.add_argument("--seed", type=int, default=0, help="candidate generator seed")
-    p.add_argument("--fps-budget", type=int, default=64, help="sampling budget")
-    p.add_argument("--rect-width", type=float, default=4.0, help="component width")
+    p.add_argument("--fps-budget", type=int, default=d.fps_budget, help="sampling budget")
+    p.add_argument("--rect-width", type=float, default=d.rect_width, help="component width")
     p.add_argument("--nms-iou", type=float, default=0.5, help="NMS suppression threshold")
     p.set_defaults(func=cmd_bench)
 

@@ -91,8 +91,12 @@ def parse_annotations(path):
 
 
 def write_annotations(path, polygons, ignore=None) -> None:
-    """Write polygons one per line, rounding coordinates to integers."""
-    flags = list(ignore) if ignore is not None else [False] * len(list(polygons))
+    """Write an iterable of polygons one per line, rounding coordinates to integers."""
+    polygons = list(polygons)
+    flags = list(ignore) if ignore is not None else [False] * len(polygons)
+    if len(flags) != len(polygons):
+        raise AnnotationError(
+            f"{path}: got {len(polygons)} polygons but {len(flags)} ignore flags")
     lines = []
     for poly, flag in zip(polygons, flags):
         pts = poly.vertices if isinstance(poly, TextPolygon) else np.asarray(poly, float)

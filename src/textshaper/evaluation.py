@@ -30,8 +30,7 @@ def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     """Precision, recall, F1 from counts; zero denominators give 0."""
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * p * r / (p + r) if p + r else 0.0
-    return p, r, f1
+    return p, r, harmonic_f1(p, r)
 
 
 def harmonic_f1(precision: float, recall: float) -> float:

@@ -4,6 +4,9 @@ Pixel convention: pixel (i, j) covers the unit square [j, j+1) x [i, i+1)
 and is sampled at its center (j + 0.5, i + 0.5). Polygon containment uses
 the even-odd rule throughout, so rasterization, point-in-polygon tests and
 the supersampled IoU fallback all agree.
+
+_clip_ccw is the package's one Sutherland-Hodgman clipper, shared by
+clip_convex and the rotated-rect NMS baseline in shaping.
 """
 
 from __future__ import annotations
@@ -109,19 +112,16 @@ def is_convex(pts) -> bool:
     return not (pos and neg)
 
 
-def clip_convex(subject, clip) -> np.ndarray:
-    """Sutherland-Hodgman clip of a subject polygon against a convex clip polygon.
+def _clip_ccw(subject: list, clip) -> list:
+    """Sutherland-Hodgman clip of (x, y) subject vertices by a convex CCW polygon.
 
-    Returns the clipped vertex list (possibly empty). Points on a clip edge
-    count as inside.
+    Returns the clipped vertices, possibly none; clip-edge points count as inside.
     """
-    clip = _vertices_of(clip)
-    if signed_area(clip) < 0:
-        clip = clip[::-1]
-    out = [tuple(p) for p in _vertices_of(subject)]
-    for i in range(len(clip)):
+    out = subject
+    n = len(clip)
+    for i in range(n):
         ax, ay = clip[i]
-        bx, by = clip[(i + 1) % len(clip)]
+        bx, by = clip[(i + 1) % n]
         ex, ey = bx - ax, by - ay
         inp = out
         out = []
@@ -140,6 +140,15 @@ def clip_convex(subject, clip) -> np.ndarray:
             if p_in:
                 out.append((px, py))
             sx, sy, s_in = px, py, p_in
+    return out
+
+
+def clip_convex(subject, clip) -> np.ndarray:
+    """Sutherland-Hodgman clip by a convex polygon of either orientation, as an (m, 2) array."""
+    clip = _vertices_of(clip)
+    if signed_area(clip) < 0:
+        clip = clip[::-1]
+    out = _clip_ccw([tuple(p) for p in _vertices_of(subject)], clip)
     return np.array(out).reshape(-1, 2)
 
 
@@ -219,13 +228,8 @@ def polygon_iou(a, b) -> float:
             or pa[:, 1].max() <= pb[:, 1].min() or pb[:, 1].max() <= pa[:, 1].min()):
         return 0.0
     conv_a, conv_b = is_convex(pa), is_convex(pb)
-    if conv_a and conv_b:
-        inter_pts = clip_convex(pa, pb)
-        inter = polygon_area(inter_pts) if inter_pts.shape[0] >= 3 else 0.0
-        union = area_a + area_b - inter
-        return min(max(inter / union, 0.0), 1.0)
     if conv_a or conv_b:
-        subject, clip = (pb, pa) if conv_a else (pa, pb)
+        subject, clip = (pa, pb) if conv_b else (pb, pa)
         inter_pts = clip_convex(subject, clip)
         inter = polygon_area(inter_pts) if inter_pts.shape[0] >= 3 else 0.0
         union = area_a + area_b - inter

@@ -22,11 +22,7 @@ from .maps import CHANNELS, GeometryMaps
 from .snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
 
 ATTENTION_CHUNK = 2048
-_ACTIVATIONS = {
-    "logistic": logistic,
-    "tanh": np.tanh,
-    "relu": relu,
-}
+INIT_SCALE = 0.05
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,6 @@ class AttentionParams:
     b_q: np.ndarray
     b_k: np.ndarray
     d_k: int
-    activation: str = "logistic"
 
     def __post_init__(self):
         wq = as_grid(self.w_q, 2)
@@ -52,8 +47,6 @@ class AttentionParams:
                 f"attention weights must be square and equal-shaped, got {wq.shape} / {wk.shape}")
         if self.d_k != wk.shape[0]:
             raise ShapeMismatchError(f"d_k={self.d_k} must equal key dimension {wk.shape[0]}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "w_q", wq)
         object.__setattr__(self, "w_k", wk)
         object.__setattr__(self, "b_q", as_grid(self.b_q, 1))
@@ -116,13 +109,12 @@ class DsfOutput:
 
 
 def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9,
-                    init_scale: float = 0.05, activation: str = "logistic",
                     blocks_per_level: int = 1) -> DsfParams:
-    """Seeded uniform [-init_scale, init_scale] parameters for every block."""
+    """Seeded uniform [-INIT_SCALE, INIT_SCALE] parameters for every block."""
     if blocks_per_level < 1:
         raise ValueError(f"blocks_per_level must be >= 1, got {blocks_per_level}")
     rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-init_scale, init_scale, shape)
+    u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
     blocks = []
     for _, c in spec.levels:
         d = 2 * c
@@ -132,8 +124,7 @@ def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9,
                 snake_h=SnakeKernel(HORIZONTAL, u(c, d, kernel_length)),
                 snake_v=SnakeKernel(VERTICAL, u(c, d, kernel_length)),
                 attention=AttentionParams(w_q=u(2 * c, 2 * c), w_k=u(2 * c, 2 * c),
-                                          b_q=u(2 * c), b_k=u(2 * c), d_k=2 * c,
-                                          activation=activation),
+                                          b_q=u(2 * c), b_k=u(2 * c), d_k=2 * c),
                 proj_w=u(c, d, 1, 1), proj_b=u(c),
             ))
     c = spec.channels
@@ -143,23 +134,23 @@ def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9,
 
 def gated_attention(tokens, params: AttentionParams,
                     return_attention: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Self-attention over (n, d) token rows: softmax(act(Q) act(K)^T / sqrt(d_k)) V.
+    """Self-attention over (n, d) token rows: softmax(g(Q) g(K)^T / sqrt(d_k)) V.
 
-    The raw tokens serve as values. Large token counts are processed in row
-    chunks unless the full attention matrix is requested.
+    The gate g is the logistic function and the raw tokens serve as values.
+    Query rows go in chunks of ATTENTION_CHUNK; the full n x n matrix is
+    formed only when return_attention requests it.
     """
     v = as_grid(tokens, 2)
     if v.shape[1] != params.w_q.shape[1]:
         raise ShapeMismatchError(
             f"token dimension {v.shape[1]} does not match attention weights {params.w_q.shape}")
-    act = _ACTIVATIONS[params.activation]
-    q = act(v @ params.w_q.T + params.b_q)
-    k = act(v @ params.w_k.T + params.b_k)
+    q = logistic(v @ params.w_q.T + params.b_q)
+    k = logistic(v @ params.w_k.T + params.b_k)
     scale = 1.0 / math.sqrt(params.d_k)
     n = v.shape[0]
-    if return_attention or n <= ATTENTION_CHUNK:
+    if return_attention:
         a = row_softmax(q @ k.T * scale)
-        return a @ v, (a if return_attention else None)
+        return a @ v, a
     out = np.empty_like(v)
     for lo in range(0, n, ATTENTION_CHUNK):
         hi = min(lo + ATTENTION_CHUNK, n)
@@ -256,10 +247,9 @@ class StubParams:
     convs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def init_stub_params(seed: int = 0, channels: int = 256, width: int = 16,
-                     init_scale: float = 0.05) -> StubParams:
+def init_stub_params(seed: int = 0, channels: int = 256, width: int = 16) -> StubParams:
     rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-init_scale, init_scale, shape)
+    u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
     dims = [1, width, channels, channels, channels, channels]
     convs = tuple((u(dims[i + 1], dims[i], 3, 3), u(dims[i + 1])) for i in range(5))
     return StubParams(convs=convs)
@@ -311,7 +301,7 @@ def save_dsf_params(path, params: DsfParams) -> None:
     write_map(path, _param_sections(params))
 
 
-def load_dsf_params(path, activation: str = "logistic") -> DsfParams:
+def load_dsf_params(path) -> DsfParams:
     """Rebuild parameters from named tensor sections written by save_dsf_params."""
     from .dataio import MapFileError, read_map
 
@@ -329,7 +319,7 @@ def load_dsf_params(path, activation: str = "logistic") -> DsfParams:
                 attention=AttentionParams(
                     w_q=sections[p + "w_q"], w_k=sections[p + "w_k"],
                     b_q=sections[p + "b_q"], b_k=sections[p + "b_k"],
-                    d_k=d, activation=activation),
+                    d_k=d),
                 proj_w=sections[p + "proj_w"], proj_b=sections[p + "proj_b"],
             ))
         repeats = 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import RotatedRect, TextPolygon, normalize_angle, rasterize, rect_corners
+from .geometry import RotatedRect, TextPolygon, _clip_ccw, normalize_angle, rasterize, rect_corners
 from .maps import GeometryMaps
 
 MIN_RECT_HEIGHT = 1e-3
@@ -41,11 +41,11 @@ OVERLAP_COUNTER = OverlapCounter()
 class ShapingConfig:
     """Knobs of the shaping pipeline; defaults work at map scale.
 
-    center_mode selects how the regressed (x, y) channels are read:
-    "absolute" map coordinates, or "offset" relative to the sampled pixel.
+    The text score map is not read. center_mode selects how the regressed
+    (x, y) channels are read: "absolute" map coordinates, or "offset"
+    relative to the sampled pixel.
     """
 
-    text_thresh: float = 0.5
     center_thresh: float = 0.5
     rect_width: float = 4.0
     fps_budget: int = 64
@@ -56,8 +56,8 @@ class ShapingConfig:
     center_mode: str = "absolute"
 
     def __post_init__(self):
-        if not (0.0 < self.text_thresh < 1.0) or not (0.0 < self.center_thresh < 1.0):
-            raise ValueError("thresholds must lie in (0, 1)")
+        if not (0.0 < self.center_thresh < 1.0):
+            raise ValueError(f"center_thresh must lie in (0, 1), got {self.center_thresh}")
         if self.rect_width <= 0:
             raise ValueError(f"rect_width must be positive, got {self.rect_width}")
         if self.fps_budget < 1:
@@ -72,10 +72,9 @@ class ShapingConfig:
 
 @dataclass(frozen=True)
 class CenterPointSet:
-    """Candidate center pixels of one component, plus the sampled subset."""
+    """Candidate center pixels of one component."""
 
     candidates: np.ndarray
-    selected: np.ndarray | None = None
 
 
 def _label8(mask: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -363,42 +362,6 @@ def _rect_geom(rect: RotatedRect):
     return pts, (min(xs), min(ys), max(xs), max(ys)), rect.h * rect.w
 
 
-def _convex_clip_area(subject, clip) -> float:
-    """Area of subject clipped by a convex CCW polygon (plain-float clipping)."""
-    out = subject
-    n = len(clip)
-    for i in range(n):
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        inp = out
-        out = []
-        if not inp:
-            return 0.0
-        sx, sy = inp[-1]
-        s_in = ex * (sy - ay) - ey * (sx - ax) >= 0
-        for px, py in inp:
-            p_in = ex * (py - ay) - ey * (px - ax) >= 0
-            if p_in != s_in:
-                dx, dy = px - sx, py - sy
-                den = ex * dy - ey * dx
-                if den != 0.0:
-                    t = (ex * (ay - sy) - ey * (ax - sx)) / den
-                    out.append((sx + t * dx, sy + t * dy))
-            if p_in:
-                out.append((px, py))
-            sx, sy, s_in = px, py, p_in
-    if len(out) < 3:
-        return 0.0
-    area = 0.0
-    m = len(out)
-    for i in range(m):
-        x1, y1 = out[i]
-        x2, y2 = out[(i + 1) % m]
-        area += x1 * y2 - x2 * y1
-    return abs(area) / 2.0
-
-
 def _pair_iou(ga, gb) -> float:
     """Counted IoU of two precomputed rect geometries, bbox-rejected early."""
     OVERLAP_COUNTER.add(1)
@@ -406,14 +369,17 @@ def _pair_iou(ga, gb) -> float:
     (pb, bb, ab) = gb
     if ba[2] <= bb[0] or bb[2] <= ba[0] or ba[3] <= bb[1] or bb[3] <= ba[1]:
         return 0.0
-    inter = _convex_clip_area(pa, pb)
+    out = _clip_ccw(pa, pb)
+    m = len(out)
+    inter = 0.0
+    if m >= 3:
+        for i in range(m):
+            x1, y1 = out[i]
+            x2, y2 = out[(i + 1) % m]
+            inter += x1 * y2 - x2 * y1
+        inter = abs(inter) / 2.0
     union = aa + ab - inter
     return inter / union if union > 0 else 0.0
-
-
-def rect_iou(a: RotatedRect, b: RotatedRect) -> float:
-    """Exact IoU of two rotated rectangles; increments the overlap counter."""
-    return _pair_iou(_rect_geom(a), _rect_geom(b))
 
 
 def nms_baseline(rects, scores, iou_thresh: float = 0.5) -> list[RotatedRect]:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .geometry import TextPolygon, rasterize
 from .grids import ShapeMismatchError, as_grid, conv2d, logistic, relu, upsample2x
+from .pyramid import INIT_SCALE
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,10 @@ class SpatialDecoder:
     conv2_b: np.ndarray
 
 
-def init_spatial_decoder(channels: int, seed: int = 0, init_scale: float = 0.05) -> SpatialDecoder:
+def init_spatial_decoder(channels: int, seed: int = 0) -> SpatialDecoder:
     rng = np.random.default_rng(seed)
     mid = max(channels // 2, 1)
-    u = lambda *shape: rng.uniform(-init_scale, init_scale, shape)
+    u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
     return SpatialDecoder(
         conv1_w=u(mid, channels, 3, 3), conv1_b=u(mid),
         conv2_w=u(1, mid, 3, 3), conv2_b=u(1),

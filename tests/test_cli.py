@@ -98,6 +98,15 @@ class TestShape:
                     "--seed", 1]) == 0
         assert pred.exists()
 
+    @pytest.mark.parametrize("size", [0, -32, 48])
+    def test_bad_resize_is_usage_error(self, tmp_path, capsys, size):
+        img = tmp_path / "img.pgm"
+        write_pgm(img, np.full((8, 8), 0.5))
+        pred = tmp_path / "pred.txt"
+        assert run(["shape", "--image", img, "--resize", size, "--out", pred]) == 2
+        assert "--resize" in capsys.readouterr().err
+        assert not pred.exists()
+
 
 class TestEval:
     def make_dirs(self, tmp_path, perfect=True):
@@ -192,6 +201,13 @@ class TestBench:
             if not hit:
                 kept.append(i)
         assert reported == expected_ops
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_nonpositive_trials_is_usage_error(self, capsys, trials):
+        assert run(["bench", "--n-candidates", 5, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
 
 
 class TestRender:

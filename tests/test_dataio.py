@@ -56,6 +56,22 @@ class TestAnnotations:
         for a, b in zip(polys, parsed):
             np.testing.assert_array_equal(a.vertices, b.vertices)
 
+    def test_write_accepts_generator(self, tmp_path):
+        squares = [[[x, 0], [x + 4, 0], [x + 4, 4], [x, 4]] for x in (0, 10)]
+        path = tmp_path / "gen.txt"
+        write_annotations(path, (TextPolygon(np.array(s)) for s in squares))
+        parsed, flags = parse_annotations(path)
+        assert [p.vertices.tolist() for p in parsed] == squares
+        assert flags == [False, False]
+
+    def test_write_rejects_ignore_length_mismatch(self, tmp_path):
+        polys = [TextPolygon(np.array([[0, 0], [4, 0], [4, 4]])),
+                 TextPolygon(np.array([[9, 0], [12, 0], [12, 4]]))]
+        path = tmp_path / "flags.txt"
+        with pytest.raises(AnnotationError, match="2 polygons but 1 ignore flags"):
+            write_annotations(path, polys, [True])
+        assert not path.exists()
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("")
