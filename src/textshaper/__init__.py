@@ -25,5 +25,5 @@ from .shaping import (OVERLAP_COUNTER, CenterPointSet, ShapingConfig, accumulate
                       build_components, extract_centers, farthest_point_sample, nms_baseline,
                       shape_text, trace_contours)
 from .snakeconv import SnakeKernel, dsc_forward, tap_positions
-from .spatial import (PositionMask, build_position_mask, loss_sr, loss_ss, merge_positional,
+from .spatial import (build_position_mask, loss_sr, loss_ss, merge_positional,
                       positional_embedding)

@@ -47,15 +47,13 @@ def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
                    help="square closing kernel side (odd)")
     p.add_argument("--min-area", type=float, default=d.min_area,
                    help="drop contours below this pixel area")
-    p.add_argument("--center-mode", choices=("absolute", "offset"), default=d.center_mode,
-                   help="interpretation of the regressed (x, y) channels")
 
 
 def _shaping_config(args) -> ShapingConfig:
     return ShapingConfig(
         center_thresh=args.center_thresh, rect_width=args.rect_width, fps_budget=args.fps_budget,
         fps_stop_dist=args.fps_stop_dist, close_kernel=args.close_kernel,
-        min_area=args.min_area, center_mode=args.center_mode)
+        min_area=args.min_area)
 
 
 def cmd_shape(args) -> int:
@@ -95,6 +93,10 @@ def _eval_one(task) -> ImageCounts:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.iou <= 1.0:
+        raise ValueError(f"--iou must lie in (0, 1], got {args.iou}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     if not gt_dir.is_dir():
         raise OSError(f"ground-truth directory not found: {gt_dir}")
@@ -147,6 +149,12 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--n-candidates must be >= 1, got {k}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.fps_budget < 1:
+        raise ValueError(f"--fps-budget must be >= 1, got {args.fps_budget}")
+    if not args.rect_width > 0:
+        raise ValueError(f"--rect-width must be positive, got {args.rect_width}")
+    if not 0.0 <= args.nms_iou <= 1.0:
+        raise ValueError(f"--nms-iou must lie in [0, 1], got {args.nms_iou}")
     width = args.rect_width
     fps_times, nms_times = [], []
     fps_ops = nms_ops = 0

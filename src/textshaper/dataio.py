@@ -325,7 +325,7 @@ def draw_polygon_outline(rgb: np.ndarray, polygon, color=(255, 0, 0)) -> None:
 @dataclass(frozen=True)
 class SynthBand:
     """One synthetic text band: a sinusoidal centerline with a tube of
-    constant (or linearly tapered) thickness around it.
+    constant thickness `height` around it.
 
     y(x) = y_center + amplitude * sin(2*pi*(x - x_start)/period + phase)
     over x in [x_start, x_end]; amplitude 0 gives a straight band.
@@ -338,10 +338,9 @@ class SynthBand:
     amplitude: float = 0.0
     period: float = 64.0
     phase: float = 0.0
-    height_end: float | None = None
 
     def __post_init__(self):
-        if self.height <= 0 or (self.height_end is not None and self.height_end <= 0):
+        if self.height <= 0:
             raise ValueError("band height must be positive")
         if self.x_end <= self.x_start:
             raise ValueError(f"empty band x range [{self.x_start}, {self.x_end}]")
@@ -388,8 +387,8 @@ class SynthSpec:
                     f"{self.frame_h}")
 
 
-def _band_samples(band: SynthBand, ds: float = 1.0):
-    n = max(int(math.ceil((band.x_end - band.x_start) / ds)) + 1, 2)
+def _band_samples(band: SynthBand):
+    n = max(int(math.ceil(band.x_end - band.x_start)) + 1, 2)
     xs = np.linspace(band.x_start, band.x_end, n)
     if band.amplitude == 0.0:
         ys = np.full(n, band.y_center)
@@ -399,16 +398,14 @@ def _band_samples(band: SynthBand, ds: float = 1.0):
         arg = k * (xs - band.x_start) + band.phase
         ys = band.y_center + band.amplitude * np.sin(arg)
         thetas = np.arctan(band.amplitude * k * np.cos(arg))
-    h_end = band.height if band.height_end is None else band.height_end
-    hs = np.linspace(band.height, h_end, n)
+    hs = np.full(n, float(band.height))
     return xs, ys, thetas, hs
 
 
-def band_polygon(band: SynthBand, half_height_scale: float = 0.5,
-                 vertex_step: float = 3.0) -> TextPolygon:
-    """Offset-curve polygon around the band centerline (flat ends)."""
+def band_polygon(band: SynthBand, half_height_scale: float = 0.5) -> TextPolygon:
+    """Offset-curve polygon around the band centerline (flat ends), a vertex every 3 px."""
     xs, ys, thetas, hs = _band_samples(band)
-    idx = list(range(0, xs.size, max(int(round(vertex_step)), 1)))
+    idx = list(range(0, xs.size, 3))
     if idx[-1] != xs.size - 1:
         idx.append(xs.size - 1)
     sel = np.array(idx)

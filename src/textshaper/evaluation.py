@@ -48,8 +48,11 @@ def match_image(preds, gts, iou_thresh: float = 0.5, ignore=None) -> tuple[int, 
     both members are unmatched. With per-ground-truth ignore flags, ignored
     polygons are excluded from matching and from the false-negative count,
     and unmatched predictions overlapping an ignored polygon are discarded
-    rather than counted as false positives.
+    rather than counted as false positives. iou_thresh must lie in (0, 1]:
+    at 0 every pair would match, even disjoint ones.
     """
+    if not 0.0 < iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh must lie in (0, 1], got {iou_thresh}")
     preds = list(preds)
     gts = list(gts)
     flags = list(ignore) if ignore is not None else [False] * len(gts)

@@ -55,9 +55,6 @@ class TextPolygon:
             raise ValueError("polygon vertices must be finite")
         object.__setattr__(self, "vertices", v)
 
-    def area(self) -> float:
-        return polygon_area(self.vertices)
-
 
 def normalize_angle(theta: float) -> float:
     """Wrap an angle into (-pi/2, pi/2] modulo pi."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grids import ShapeMismatchError
 from .maps import GeometryMaps
-from .spatial import PositionMask, loss_sr, loss_ss
+from .spatial import loss_sr, loss_ss
 
 CLAMP_EPS = 1e-7
 
@@ -97,7 +97,7 @@ class LossTargets:
     center: np.ndarray
     h: np.ndarray
     theta: np.ndarray
-    mask: PositionMask | np.ndarray
+    mask: np.ndarray
     region: np.ndarray | None = None
 
     def regression_region(self) -> np.ndarray:

@@ -30,14 +30,13 @@ class AttentionParams:
     """Query/key projections of the gated self-attention combiner.
 
     The token value dimension d equals the concatenated branch channels;
-    d_k is the key dimensionality used in the 1/sqrt(d_k) scaling.
+    the key dimensionality d_k of the 1/sqrt(d_k) scaling is w_k.shape[0].
     """
 
     w_q: np.ndarray
     w_k: np.ndarray
     b_q: np.ndarray
     b_k: np.ndarray
-    d_k: int
 
     def __post_init__(self):
         wq = as_grid(self.w_q, 2)
@@ -45,8 +44,6 @@ class AttentionParams:
         if wq.shape != wk.shape or wq.shape[0] != wq.shape[1]:
             raise ShapeMismatchError(
                 f"attention weights must be square and equal-shaped, got {wq.shape} / {wk.shape}")
-        if self.d_k != wk.shape[0]:
-            raise ShapeMismatchError(f"d_k={self.d_k} must equal key dimension {wk.shape[0]}")
         object.__setattr__(self, "w_q", wq)
         object.__setattr__(self, "w_k", wk)
         object.__setattr__(self, "b_q", as_grid(self.b_q, 1))
@@ -93,12 +90,11 @@ class BlockParams:
 
 @dataclass(frozen=True)
 class DsfParams:
-    """Per-level block parameters (level-major when blocks are stacked)."""
+    """One block per pyramid level, coarsest first, plus the head."""
 
     blocks: tuple[BlockParams, ...]
     head_w: np.ndarray
     head_b: np.ndarray
-    blocks_per_level: int = 1
 
 
 @dataclass(frozen=True)
@@ -108,37 +104,33 @@ class DsfOutput:
     attentions: list[list[np.ndarray]] | None = None
 
 
-def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9,
-                    blocks_per_level: int = 1) -> DsfParams:
+def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9) -> DsfParams:
     """Seeded uniform [-INIT_SCALE, INIT_SCALE] parameters for every block."""
-    if blocks_per_level < 1:
-        raise ValueError(f"blocks_per_level must be >= 1, got {blocks_per_level}")
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
     blocks = []
     for _, c in spec.levels:
         d = 2 * c
-        for _ in range(blocks_per_level):
-            blocks.append(BlockParams(
-                conv_w=u(c, d, 3, 3), conv_b=u(c),
-                snake_h=SnakeKernel(HORIZONTAL, u(c, d, kernel_length)),
-                snake_v=SnakeKernel(VERTICAL, u(c, d, kernel_length)),
-                attention=AttentionParams(w_q=u(2 * c, 2 * c), w_k=u(2 * c, 2 * c),
-                                          b_q=u(2 * c), b_k=u(2 * c), d_k=2 * c),
-                proj_w=u(c, d, 1, 1), proj_b=u(c),
-            ))
+        blocks.append(BlockParams(
+            conv_w=u(c, d, 3, 3), conv_b=u(c),
+            snake_h=SnakeKernel(HORIZONTAL, u(c, d, kernel_length)),
+            snake_v=SnakeKernel(VERTICAL, u(c, d, kernel_length)),
+            attention=AttentionParams(w_q=u(d, d), w_k=u(d, d), b_q=u(d), b_k=u(d)),
+            proj_w=u(c, d, 1, 1), proj_b=u(c),
+        ))
     c = spec.channels
     return DsfParams(blocks=tuple(blocks), head_w=u(len(CHANNELS), c, 3, 3),
-                     head_b=u(len(CHANNELS)), blocks_per_level=blocks_per_level)
+                     head_b=u(len(CHANNELS)))
 
 
 def gated_attention(tokens, params: AttentionParams,
                     return_attention: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Self-attention over (n, d) token rows: softmax(g(Q) g(K)^T / sqrt(d_k)) V.
 
-    The gate g is the logistic function and the raw tokens serve as values.
-    Query rows go in chunks of ATTENTION_CHUNK; the full n x n matrix is
-    formed only when return_attention requests it.
+    The gate g is the logistic function, the raw tokens serve as values and
+    d_k is the key dimension. Query rows go in chunks of ATTENTION_CHUNK;
+    with return_attention each chunk's softmax rows are also copied into
+    the returned n x n matrix.
     """
     v = as_grid(tokens, 2)
     if v.shape[1] != params.w_q.shape[1]:
@@ -146,16 +138,17 @@ def gated_attention(tokens, params: AttentionParams,
             f"token dimension {v.shape[1]} does not match attention weights {params.w_q.shape}")
     q = logistic(v @ params.w_q.T + params.b_q)
     k = logistic(v @ params.w_k.T + params.b_k)
-    scale = 1.0 / math.sqrt(params.d_k)
+    scale = 1.0 / math.sqrt(params.w_k.shape[0])
     n = v.shape[0]
-    if return_attention:
-        a = row_softmax(q @ k.T * scale)
-        return a @ v, a
     out = np.empty_like(v)
+    att = np.empty((n, n)) if return_attention else None
     for lo in range(0, n, ATTENTION_CHUNK):
         hi = min(lo + ATTENTION_CHUNK, n)
-        out[lo:hi] = row_softmax(q[lo:hi] @ k.T * scale) @ v
-    return out, None
+        a = row_softmax(q[lo:hi] @ k.T * scale)
+        out[lo:hi] = a @ v
+        if att is not None:
+            att[lo:hi] = a
+    return out, att
 
 
 def modulation_block(c_i, f_prev, params: BlockParams, return_attention: bool = False):
@@ -200,15 +193,13 @@ def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = No
     if len(feats) != len(spec.levels):
         raise ShapeMismatchError(
             f"expected {len(spec.levels)} pyramid levels, got {len(feats)}")
-    repeats = params.blocks_per_level
-    if len(params.blocks) != repeats * len(spec.levels):
+    if len(params.blocks) != len(spec.levels):
         raise ShapeMismatchError(
-            f"parameter set has {len(params.blocks)} blocks for {len(spec.levels)} levels "
-            f"at {repeats} per level")
+            f"parameter set has {len(params.blocks)} blocks for {len(spec.levels)} levels")
     f = None
     fused = []
     attentions = [] if collect_attention else None
-    for i, (feat, (scale, c)) in enumerate(zip(feats, spec.levels)):
+    for i, (feat, block, (scale, c)) in enumerate(zip(feats, params.blocks, spec.levels)):
         if feat.shape[1] != c:
             raise ShapeMismatchError(
                 f"level {i} (scale {scale:g}): expected {c} channels, got {feat.shape[1]}")
@@ -218,14 +209,11 @@ def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = No
                 f"level {i} (scale {scale:g}): spatial size {feat.shape[2:]} does not follow "
                 f"2x growth from previous level {prev.shape[2:]}")
         try:
-            for r in range(repeats):
-                block = params.blocks[i * repeats + r]
-                if collect_attention:
-                    f, atts = modulation_block(feat, prev, block, return_attention=True)
-                    attentions.append(atts)
-                else:
-                    f = modulation_block(feat, prev, block)
-                prev = f
+            if collect_attention:
+                f, atts = modulation_block(feat, prev, block, return_attention=True)
+                attentions.append(atts)
+            else:
+                f = modulation_block(feat, prev, block)
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"level {i} (scale {scale:g}): {e}") from e
         fused.append(f)
@@ -290,7 +278,6 @@ def _param_sections(params: DsfParams) -> dict[str, np.ndarray]:
         sections[p + "proj_b"] = blk.proj_b
     sections["head/w"] = params.head_w
     sections["head/b"] = params.head_b
-    sections["meta/blocks_per_level"] = np.array([float(params.blocks_per_level)])
     return sections
 
 
@@ -302,7 +289,7 @@ def save_dsf_params(path, params: DsfParams) -> None:
 
 
 def load_dsf_params(path) -> DsfParams:
-    """Rebuild parameters from named tensor sections written by save_dsf_params."""
+    """Rebuild parameters from save_dsf_params sections; others (meta/) are ignored."""
     from .dataio import MapFileError, read_map
 
     sections = read_map(path)
@@ -311,21 +298,16 @@ def load_dsf_params(path) -> DsfParams:
     try:
         for i in range(n_blocks):
             p = f"block{i}/"
-            d = sections[p + "w_q"].shape[0]
             blocks.append(BlockParams(
                 conv_w=sections[p + "conv_w"], conv_b=sections[p + "conv_b"],
                 snake_h=SnakeKernel(HORIZONTAL, sections[p + "snake_h_w"]),
                 snake_v=SnakeKernel(VERTICAL, sections[p + "snake_v_w"]),
                 attention=AttentionParams(
                     w_q=sections[p + "w_q"], w_k=sections[p + "w_k"],
-                    b_q=sections[p + "b_q"], b_k=sections[p + "b_k"],
-                    d_k=d),
+                    b_q=sections[p + "b_q"], b_k=sections[p + "b_k"]),
                 proj_w=sections[p + "proj_w"], proj_b=sections[p + "proj_b"],
             ))
-        repeats = 1
-        if "meta/blocks_per_level" in sections:
-            repeats = int(sections["meta/blocks_per_level"][0])
         return DsfParams(blocks=tuple(blocks), head_w=sections["head/w"],
-                         head_b=sections["head/b"], blocks_per_level=repeats)
+                         head_b=sections["head/b"])
     except KeyError as e:
         raise MapFileError(f"parameter file {path} is missing section {e}") from e

@@ -10,6 +10,7 @@ with the greedy-NMS baseline is measurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,8 @@ OVERLAP_COUNTER = OverlapCounter()
 class ShapingConfig:
     """Knobs of the shaping pipeline; defaults work at map scale.
 
-    The text score map is not read. center_mode selects how the regressed
-    (x, y) channels are read: "absolute" map coordinates, or "offset"
-    relative to the sampled pixel.
+    The text score map is not read, and the regressed (x, y) channels hold
+    absolute map coordinates.
     """
 
     center_thresh: float = 0.5
@@ -53,7 +53,6 @@ class ShapingConfig:
     close_kernel: int = 5
     min_area: float = 150.0
     contour_eps: float = 1.0
-    center_mode: str = "absolute"
 
     def __post_init__(self):
         if not (0.0 < self.center_thresh < 1.0):
@@ -66,8 +65,6 @@ class ShapingConfig:
             raise ValueError(f"fps_stop_dist must be >= 0, got {self.fps_stop_dist}")
         if self.close_kernel < 1 or self.close_kernel % 2 == 0:
             raise ValueError(f"close_kernel must be a positive odd int, got {self.close_kernel}")
-        if self.center_mode not in ("absolute", "offset"):
-            raise ValueError(f"center_mode must be 'absolute' or 'offset', got {self.center_mode}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +163,10 @@ def farthest_point_sample(points, budget: int, stop_dist: float = 0.0,
 def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[RotatedRect]:
     """One rotated rectangle per sampled center, read off the regression maps.
 
-    Height is clamped to a small positive floor so degenerate regressions
-    stay representable; width is fixed by the config.
+    A center whose x, y, h or theta is NaN or infinite gives no rectangle,
+    so one bad pixel costs one sample, not the image. Height is clamped to
+    a small positive floor so degenerate regressions stay representable;
+    width is fixed by the config.
     """
     h_map, w_max = maps.shape
     rects = []
@@ -175,17 +174,11 @@ def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[Ro
         ix, iy = int(px), int(py)
         if not (0 <= iy < h_map and 0 <= ix < w_max):
             raise ValueError(f"center ({px}, {py}) outside the {maps.shape} map frame")
-        cx = float(maps.x[iy, ix])
-        cy = float(maps.y[iy, ix])
-        if cfg.center_mode == "offset":
-            cx += ix
-            cy += iy
-        rects.append(RotatedRect(
-            cx=cx, cy=cy,
-            h=max(float(maps.h[iy, ix]), MIN_RECT_HEIGHT),
-            w=cfg.rect_width,
-            theta=normalize_angle(float(maps.theta[iy, ix])),
-        ))
+        cx, cy, h, theta = (float(m[iy, ix]) for m in (maps.x, maps.y, maps.h, maps.theta))
+        if not all(map(math.isfinite, (cx, cy, h, theta))):
+            continue
+        rects.append(RotatedRect(cx=cx, cy=cy, h=max(h, MIN_RECT_HEIGHT), w=cfg.rect_width,
+                                 theta=normalize_angle(theta)))
     return rects
 
 

@@ -15,28 +15,18 @@ from .grids import ShapeMismatchError, as_grid, conv2d, logistic, relu, upsample
 from .pyramid import INIT_SCALE
 
 
-@dataclass(frozen=True)
-class PositionMask:
-    """Binary union mask of the ground-truth text polygons."""
-
-    mask: np.ndarray
-    polygons: tuple[TextPolygon, ...]
-
-
-def build_position_mask(polygons, h: int, w: int) -> PositionMask:
-    """Rasterize the union of text polygons into an h x w binary mask.
+def build_position_mask(polygons, h: int, w: int) -> np.ndarray:
+    """Rasterize the union of text polygons into an h x w bool mask.
 
     A pixel is set when its center lies inside any polygon (even-odd rule).
     """
     if h <= 0 or w <= 0:
         raise ValueError(f"frame must be positive, got {h}x{w}")
-    polys = []
     mask = np.zeros((h, w), dtype=bool)
     for p in polygons:
         poly = p if isinstance(p, TextPolygon) else TextPolygon(np.asarray(p, dtype=np.float64))
         mask |= rasterize(poly, h, w)
-        polys.append(poly)
-    return PositionMask(mask=mask, polygons=tuple(polys))
+    return mask
 
 
 def positional_embedding(channels: int, h: int, w: int) -> np.ndarray:
@@ -69,9 +59,8 @@ def loss_sr(reconstruction, mask) -> tuple[float, np.ndarray]:
     Returns (loss, gradient w.r.t. the reconstruction); the subgradient of
     |e| at e = 0 is taken as 0.
     """
-    target = mask.mask if isinstance(mask, PositionMask) else mask
     r = as_grid(reconstruction, 2)
-    t = np.asarray(target, dtype=np.float64)
+    t = np.asarray(mask, dtype=np.float64)
     if r.shape != t.shape:
         raise ShapeMismatchError(f"reconstruction shape {r.shape} != mask shape {t.shape}")
     diff = r - t

@@ -155,6 +155,15 @@ class TestEval:
         assert code == 2
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--iou", 0), ("--iou", 1.5), ("--iou", -0.2),
+                                             ("--jobs", 0), ("--jobs", -3)])
+    def test_bad_threshold_or_jobs_is_usage_error(self, tmp_path, capsys, flag, value):
+        pred_dir, gt_dir = self.make_dirs(tmp_path)
+        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
 
 class TestBench:
     def parse_kv(self, out):
@@ -208,6 +217,15 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--trials" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--nms-iou", -1), ("--nms-iou", 1.5),
+                                             ("--rect-width", 0), ("--rect-width", -2),
+                                             ("--fps-budget", 0)])
+    def test_bad_sampling_flag_is_usage_error(self, capsys, flag, value):
+        assert run(["bench", "--n-candidates", 5, "--trials", 1, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
 
 
 class TestRender:

@@ -85,6 +85,12 @@ class TestMatchImage:
         with pytest.raises(ValueError, match="ignore"):
             match_image([], [square(0, 0)], ignore=[])
 
+    @pytest.mark.parametrize("thresh", [0.0, -0.5, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, thresh):
+        # At 0, two disjoint squares would match with IoU 0 >= 0.
+        with pytest.raises(ValueError, match="iou_thresh"):
+            match_image([square(0, 0)], [square(20, 20)], thresh)
+
 
 class TestPrf:
     def test_zero_denominators(self):

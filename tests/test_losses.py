@@ -108,7 +108,7 @@ def build_total_inputs(rng, n=8, perfect=False):
                             center=np.clip(gt_center, 1e-9, 1 - 1e-9),
                             x=np.zeros((n, n)), y=np.zeros((n, n)),
                             h=gt_h.copy(), w=np.full((n, n), 4.0), theta=gt_theta.copy())
-        recon = mask.mask.astype(float)
+        recon = mask.astype(float)
         main = aux.copy()
     else:
         pred = GeometryMaps(text=rng.uniform(0.05, 0.95, (n, n)),

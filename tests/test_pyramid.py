@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from textshaper.dataio import write_map
 from textshaper.grids import ShapeMismatchError, conv2d
 from textshaper.maps import CHANNELS
 from textshaper.pyramid import (AttentionParams, BlockParams, DsfParams, PyramidSpec,
-                                backbone_stub, dsf_forward, gated_attention,
+                                _param_sections, backbone_stub, dsf_forward, gated_attention,
                                 geometry_maps_from_head, init_dsf_params, init_stub_params,
                                 load_dsf_params, modulation_block, save_dsf_params)
 from textshaper.snakeconv import HORIZONTAL, VERTICAL, SnakeKernel
@@ -38,7 +39,7 @@ def zero_params(spec, kernel_length=3):
             snake_h=SnakeKernel(HORIZONTAL, np.zeros((c, d, kernel_length))),
             snake_v=SnakeKernel(VERTICAL, np.zeros((c, d, kernel_length))),
             attention=AttentionParams(w_q=np.zeros((d, d)), w_k=np.zeros((d, d)),
-                                      b_q=np.zeros(d), b_k=np.zeros(d), d_k=d),
+                                      b_q=np.zeros(d), b_k=np.zeros(d)),
             proj_w=np.zeros((c, d, 1, 1)), proj_b=np.zeros(c)))
     c = spec.channels
     return DsfParams(blocks=tuple(blocks), head_w=np.zeros((len(CHANNELS), c, 3, 3)),
@@ -52,7 +53,7 @@ class TestGatedAttention:
         w_k = np.array([[-0.2, 0.4], [0.6, 0.05]])
         b_q = np.array([0.05, -0.1])
         b_k = np.array([0.2, 0.0])
-        params = AttentionParams(w_q=w_q, w_k=w_k, b_q=b_q, b_k=b_k, d_k=2)
+        params = AttentionParams(w_q=w_q, w_k=w_k, b_q=b_q, b_k=b_k)
         out, att = gated_attention(v, params, return_attention=True)
 
         def sig(z):
@@ -76,7 +77,7 @@ class TestGatedAttention:
         rng = np.random.default_rng(0)
         v = rng.normal(size=(10, 4))
         params = AttentionParams(w_q=rng.normal(size=(4, 4)), w_k=rng.normal(size=(4, 4)),
-                                 b_q=rng.normal(size=4), b_k=rng.normal(size=4), d_k=4)
+                                 b_q=rng.normal(size=4), b_k=rng.normal(size=4))
         _, att = gated_attention(v, params, return_attention=True)
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
 
@@ -84,7 +85,7 @@ class TestGatedAttention:
         rng = np.random.default_rng(1)
         v = rng.normal(size=(32, 3))
         params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
-                                 b_q=rng.normal(size=3), b_k=rng.normal(size=3), d_k=3)
+                                 b_q=rng.normal(size=3), b_k=rng.normal(size=3))
         full, att = gated_attention(v, params, return_attention=True)
         import textshaper.pyramid as pyr
         old = pyr.ATTENTION_CHUNK
@@ -107,7 +108,7 @@ class TestModulationBlock:
             snake_h=SnakeKernel(HORIZONTAL, rng.normal(size=(c, d, 3))),
             snake_v=SnakeKernel(VERTICAL, rng.normal(size=(c, d, 3))),
             attention=AttentionParams(w_q=np.zeros((d, d)), w_k=np.zeros((d, d)),
-                                      b_q=np.zeros(d), b_k=np.zeros(d), d_k=d),
+                                      b_q=np.zeros(d), b_k=np.zeros(d)),
             proj_w=rng.normal(size=(c, d, 1, 1)), proj_b=rng.normal(size=c))
         c_i = rng.normal(size=(1, c, h, w))
         f_prev = rng.normal(size=(1, c, h, w))
@@ -187,17 +188,6 @@ class TestDsfForward:
         with pytest.raises(ShapeMismatchError, match="2x"):
             dsf_forward(feats, params, spec)
 
-    def test_stacked_blocks_per_level(self):
-        spec = small_spec()
-        params = init_dsf_params(spec, seed=2, kernel_length=3, blocks_per_level=2)
-        assert len(params.blocks) == 8
-        rng = np.random.default_rng(8)
-        feats = pyramid_feats(spec, base=16, rng=rng)
-        out = dsf_forward(feats, params, spec)
-        assert out.head.shape == (1, 7, 16, 16)
-        single = dsf_forward(feats, init_dsf_params(spec, seed=2, kernel_length=3), spec)
-        assert not np.array_equal(out.head, single.head)
-
     def test_zeroed_snake_branch_keeps_shapes(self):
         spec = small_spec()
         params = init_dsf_params(spec, seed=3, kernel_length=3)
@@ -234,18 +224,27 @@ class TestParamsIO:
         np.testing.assert_array_equal(dsf_forward(feats, params, spec).head,
                                       dsf_forward(feats, loaded, spec).head)
 
-    def test_save_load_keeps_block_stacking(self, tmp_path):
+    def test_loads_file_with_blocks_per_level_section(self, tmp_path):
+        # Parameter files of earlier versions carry meta/blocks_per_level.
         spec = small_spec()
-        params = init_dsf_params(spec, seed=4, kernel_length=3, blocks_per_level=2)
-        path = tmp_path / "stacked.tmap"
-        save_dsf_params(path, params)
+        params = init_dsf_params(spec, seed=4, kernel_length=3)
+        path = tmp_path / "old.tmap"
+        write_map(path, {**_param_sections(params), "meta/blocks_per_level": np.array([1.0])})
         loaded = load_dsf_params(path)
-        assert loaded.blocks_per_level == 2
-        assert len(loaded.blocks) == 8
-        rng = np.random.default_rng(9)
-        feats = pyramid_feats(spec, base=16, rng=rng)
+        feats = pyramid_feats(spec, base=16, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(dsf_forward(feats, params, spec).head,
                                       dsf_forward(feats, loaded, spec).head)
+
+    def test_stacked_file_fails_block_count(self, tmp_path):
+        spec = small_spec()
+        params = init_dsf_params(spec, seed=4, kernel_length=3)
+        stacked = DsfParams(blocks=params.blocks * 2, head_w=params.head_w, head_b=params.head_b)
+        path = tmp_path / "stacked.tmap"
+        write_map(path, {**_param_sections(stacked), "meta/blocks_per_level": np.array([2.0])})
+        loaded = load_dsf_params(path)
+        assert len(loaded.blocks) == 8
+        with pytest.raises(ShapeMismatchError, match="8 blocks for 4 levels"):
+            dsf_forward(pyramid_feats(spec, base=16), loaded, spec)
 
 
 class TestPyramidSpec:

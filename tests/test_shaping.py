@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -258,12 +259,6 @@ class TestBuildComponents:
         expected = rect_corners(RotatedRect(cx=7.0, cy=9.0, h=6.0, w=4.0, theta=theta))
         np.testing.assert_allclose(rect_corners(rect), expected, atol=1e-12)
 
-    def test_offset_mode(self):
-        maps = self.make_maps(x=1.5, y=-2.0)
-        cfg = ShapingConfig(center_mode="offset")
-        rect = build_components(np.array([[4, 6]]), maps, cfg)[0]
-        assert (rect.cx, rect.cy) == (5.5, 4.0)
-
     def test_empty_centers(self):
         assert build_components(np.empty((0, 2)), self.make_maps(), ShapingConfig()) == []
 
@@ -447,6 +442,17 @@ class TestShapeText:
         OVERLAP_COUNTER.reset()
         shape_text(maps)
         assert OVERLAP_COUNTER.count == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", ["x", "y", "h", "theta"])
+    def test_non_finite_sample_costs_only_that_sample(self, channel, value):
+        maps, gt = self.band_maps(two=True)
+        band0 = extract_centers(maps.center, ShapingConfig().center_thresh)[0].candidates
+        sx, sy = farthest_point_sample(band0, 1)[0]
+        poisoned = getattr(maps, channel).copy()
+        poisoned[sy, sx] = value
+        polys = shape_text(dataclasses.replace(maps, **{channel: poisoned}))
+        assert max(polygon_iou(p, gt[1]) for p in polys) >= 0.90
 
 
 class TestNmsBaseline:

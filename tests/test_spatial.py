@@ -23,38 +23,38 @@ class TestBuildPositionMask:
         # 2.5..4.5 in y (3 rows).
         rect = [(2, 2), (6, 2), (6, 5), (2, 5)]
         pm = build_position_mask([rect], 8, 8)
-        assert int(pm.mask.sum()) == 12
+        assert int(pm.sum()) == 12
 
     def test_small_rectangle_pixel_count(self):
         rect = [(2, 2), (5, 2), (5, 4), (2, 4)]
         pm = build_position_mask([rect], 8, 8)
-        assert int(pm.mask.sum()) == 6
+        assert int(pm.sum()) == 6
 
     def test_empty_list_all_zero(self):
         pm = build_position_mask([], 5, 7)
-        assert pm.mask.shape == (5, 7)
-        assert not pm.mask.any()
+        assert pm.shape == (5, 7)
+        assert not pm.any()
 
     def test_union_matches_oracle(self):
         a = [(1, 1), (6, 1), (6, 4), (1, 4)]
         b = [(4, 2), (9, 2), (9, 7), (4, 7)]
         pm = build_position_mask([a, b], 10, 12)
-        np.testing.assert_array_equal(pm.mask, mask_oracle([a, b], 10, 12))
+        np.testing.assert_array_equal(pm, mask_oracle([a, b], 10, 12))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_polygons_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         polys = [rng.uniform(0, 12, size=(int(rng.integers(3, 7)), 2)) for _ in range(2)]
         pm = build_position_mask(polys, 12, 12)
-        np.testing.assert_array_equal(pm.mask, mask_oracle(polys, 12, 12))
+        np.testing.assert_array_equal(pm, mask_oracle(polys, 12, 12))
 
     @pytest.mark.parametrize("shift", [1, 2, 3])
     def test_vertex_rotation_invariance(self, shift):
         rng = np.random.default_rng(shift)
         poly = rng.uniform(0, 10, size=(5, 2))
-        base = build_position_mask([poly], 10, 10).mask
+        base = build_position_mask([poly], 10, 10)
         rotated = np.roll(poly, shift, axis=0)
-        np.testing.assert_array_equal(build_position_mask([rotated], 10, 10).mask, base)
+        np.testing.assert_array_equal(build_position_mask([rotated], 10, 10), base)
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError, match="3 vertices"):
