@@ -26,7 +26,7 @@ from .geometry import RotatedRect, TextPolygon, normalize_angle
 from .grids import resize_bilinear
 from .pyramid import (PyramidSpec, backbone_stub, dsf_forward, geometry_maps_from_head,
                       init_dsf_params, init_stub_params)
-from .shaping import (OVERLAP_COUNTER, ShapingConfig, farthest_point_sample_indices,
+from .shaping import (FPS_CAP, OVERLAP_COUNTER, ShapingConfig, farthest_point_sample_indices,
                       nms_baseline, shape_text)
 
 # Every library error type subclasses ValueError.
@@ -39,10 +39,6 @@ def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
                    help="center map threshold")
     p.add_argument("--rect-width", type=float, default=d.rect_width,
                    help="fixed component rectangle width (map px)")
-    p.add_argument("--fps-budget", type=int, default=d.fps_budget,
-                   help="max sampled centers per component")
-    p.add_argument("--fps-stop-dist", type=float, default=d.fps_stop_dist,
-                   help="stop sampling once max-min distance falls below this (px)")
     p.add_argument("--close-kernel", type=int, default=d.close_kernel,
                    help="square closing kernel side (odd)")
     p.add_argument("--min-area", type=float, default=d.min_area,
@@ -51,9 +47,8 @@ def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
 
 def _shaping_config(args) -> ShapingConfig:
     return ShapingConfig(
-        center_thresh=args.center_thresh, rect_width=args.rect_width, fps_budget=args.fps_budget,
-        fps_stop_dist=args.fps_stop_dist, close_kernel=args.close_kernel,
-        min_area=args.min_area)
+        center_thresh=args.center_thresh, rect_width=args.rect_width,
+        close_kernel=args.close_kernel, min_area=args.min_area)
 
 
 def cmd_shape(args) -> int:
@@ -149,13 +144,12 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--n-candidates must be >= 1, got {k}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.fps_budget < 1:
-        raise ValueError(f"--fps-budget must be >= 1, got {args.fps_budget}")
-    if not args.rect_width > 0:
-        raise ValueError(f"--rect-width must be positive, got {args.rect_width}")
+    if not 0.0 < args.rect_width < math.inf:
+        raise ValueError(f"--rect-width must be positive and finite, got {args.rect_width}")
     if not 0.0 <= args.nms_iou <= 1.0:
         raise ValueError(f"--nms-iou must lie in [0, 1], got {args.nms_iou}")
     width = args.rect_width
+    radius = ShapingConfig(rect_width=width).coverage_radius
     fps_times, nms_times = [], []
     fps_ops = nms_ops = 0
     fps_kept = nms_kept = 0
@@ -164,7 +158,7 @@ def cmd_bench(args) -> int:
 
         OVERLAP_COUNTER.reset()
         t0 = time.perf_counter()
-        idx = farthest_point_sample_indices(pts, args.fps_budget, width / 2.0)
+        idx = farthest_point_sample_indices(pts, FPS_CAP, radius)
         fps_rects = _rects_at(pts[idx], thetas[idx], heights[idx], width)
         fps_times.append(time.perf_counter() - t0)
         fps_ops = OVERLAP_COUNTER.count
@@ -267,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-candidates", type=int, default=2000, help="candidate count K")
     p.add_argument("--trials", type=int, default=20, help="timed trials")
     p.add_argument("--seed", type=int, default=0, help="candidate generator seed")
-    p.add_argument("--fps-budget", type=int, default=d.fps_budget, help="sampling budget")
     p.add_argument("--rect-width", type=float, default=d.rect_width, help="component width")
     p.add_argument("--nms-iou", type=float, default=0.5, help="NMS suppression threshold")
     p.set_defaults(func=cmd_bench)

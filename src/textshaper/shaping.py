@@ -1,6 +1,6 @@
 """Bottom-up text shaping: threshold the center-region map, pick component
-centers by farthest point sampling, accumulate fixed-width rotated
-rectangles, close the gaps morphologically, and trace the final contours.
+centers by farthest point sampling down to a coverage radius, accumulate
+fixed-width rotated rectangles, close the gaps morphologically, trace contours.
 
 Candidate filtering is overlap-free by construction: farthest point
 sampling never compares rectangles pairwise. A module-level counter
@@ -20,6 +20,8 @@ from .geometry import RotatedRect, TextPolygon, _clip_ccw, normalize_angle, rast
 from .maps import GeometryMaps
 
 MIN_RECT_HEIGHT = 1e-3
+# Most samples per component: above what long bands need, so it bounds only adversarial maps.
+FPS_CAP = 1024
 
 
 class OverlapCounter:
@@ -43,28 +45,30 @@ class ShapingConfig:
     """Knobs of the shaping pipeline; defaults work at map scale.
 
     The text score map is not read, and the regressed (x, y) channels hold
-    absolute map coordinates.
+    absolute map coordinates. Sampling stops at `coverage_radius`.
     """
 
     center_thresh: float = 0.5
     rect_width: float = 4.0
-    fps_budget: int = 64
-    fps_stop_dist: float = 2.0
     close_kernel: int = 5
     min_area: float = 150.0
-    contour_eps: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.center_thresh < 1.0):
             raise ValueError(f"center_thresh must lie in (0, 1), got {self.center_thresh}")
-        if self.rect_width <= 0:
-            raise ValueError(f"rect_width must be positive, got {self.rect_width}")
-        if self.fps_budget < 1:
-            raise ValueError(f"fps_budget must be >= 1, got {self.fps_budget}")
-        if self.fps_stop_dist < 0:
-            raise ValueError(f"fps_stop_dist must be >= 0, got {self.fps_stop_dist}")
+        if not (0.0 < self.rect_width < math.inf):
+            raise ValueError(f"rect_width must be positive and finite, got {self.rect_width}")
         if self.close_kernel < 1 or self.close_kernel % 2 == 0:
             raise ValueError(f"close_kernel must be a positive odd int, got {self.close_kernel}")
+        if not self.min_area >= 0.0:
+            raise ValueError(f"min_area must be >= 0, got {self.min_area}")
+
+    @property
+    def coverage_radius(self) -> float:
+        """Sampling stop distance r. Samples along a band are then at most 2r
+        apart, leaving gaps of at most 2r - rect_width = close_kernel - 1 px
+        between rectangles, which the closing bridges."""
+        return (self.rect_width + self.close_kernel - 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,9 @@ def farthest_point_sample(points, budget: int, stop_dist: float = 0.0,
 def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[RotatedRect]:
     """One rotated rectangle per sampled center, read off the regression maps.
 
-    A center whose x, y, h or theta is NaN or infinite gives no rectangle,
-    so one bad pixel costs one sample, not the image. Height is clamped to
-    a small positive floor so degenerate regressions stay representable;
-    width is fixed by the config.
+    The centers' x, y, h and theta must be finite; `shape_text` samples
+    only such pixels. Height is clamped to a small positive floor so
+    degenerate regressions stay representable; width is fixed by the config.
     """
     h_map, w_max = maps.shape
     rects = []
@@ -175,8 +178,6 @@ def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[Ro
         if not (0 <= iy < h_map and 0 <= ix < w_max):
             raise ValueError(f"center ({px}, {py}) outside the {maps.shape} map frame")
         cx, cy, h, theta = (float(m[iy, ix]) for m in (maps.x, maps.y, maps.h, maps.theta))
-        if not all(map(math.isfinite, (cx, cy, h, theta))):
-            continue
         rects.append(RotatedRect(cx=cx, cy=cy, h=max(h, MIN_RECT_HEIGHT), w=cfg.rect_width,
                                  theta=normalize_angle(theta)))
     return rects
@@ -335,16 +336,21 @@ def shape_text(maps: GeometryMaps, cfg: ShapingConfig | None = None) -> list[Tex
     """Full bottom-up shaping of one image's head maps into text polygons.
 
     Each center-region component is sampled and accumulated independently;
-    the output may be empty. Deterministic for fixed inputs and config.
+    candidates whose x, y, h or theta is not finite are never sampled. The
+    output may be empty. Deterministic for fixed inputs and config.
     """
     cfg = cfg or ShapingConfig()
     frame = maps.shape
+    usable = np.all([np.isfinite(m) for m in (maps.x, maps.y, maps.h, maps.theta)], axis=0)
     polys: list[TextPolygon] = []
     for comp in extract_centers(maps.center, cfg.center_thresh):
-        selected = farthest_point_sample(comp.candidates, cfg.fps_budget, cfg.fps_stop_dist)
+        cands = comp.candidates[usable[comp.candidates[:, 1], comp.candidates[:, 0]]]
+        if cands.shape[0] == 0:
+            continue
+        selected = farthest_point_sample(cands, FPS_CAP, cfg.coverage_radius)
         rects = build_components(selected, maps, cfg)
         mask = accumulate_and_close(rects, frame, cfg)
-        polys.extend(trace_contours(mask, cfg.min_area, cfg.contour_eps))
+        polys.extend(trace_contours(mask, cfg.min_area))
     return polys
 
 

@@ -184,6 +184,19 @@ def test_c05_low_light_robustness():
         assert report.f1 >= 0.95, f"degraded-suite F1 {100 * report.f1:.1f}% below 95%"
 
 
+def test_c11_large_frame_multi_band_shaping():
+    with criterion(11, "default shaping of 4 sinusoid bands at 256x448 and 640x640",
+                   budget_s=60.0):
+        for h, w in ((256, 448), (640, 640)):
+            bands = tuple(SynthBand(y_center=float(y), height=16.0, x_start=16.0, x_end=w - 16.0,
+                                    amplitude=10.0, period=120.0 + 20.0 * i, phase=0.7 * i)
+                          for i, y in enumerate(np.linspace(0, h, 6)[1:-1]))
+            maps, gt = synth_maps(SynthSpec(frame_h=h, frame_w=w, bands=bands,
+                                            noise_sigma=0.05), seed=3)
+            counts = match_image(shape_text(maps), gt, 0.5)
+            assert counts == (4, 0, 0), f"{h}x{w}: TP/FP/FN {counts}, want (4, 0, 0)"
+
+
 def finite_diff(f, x, step=1e-5):
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])

@@ -6,6 +6,7 @@ from textshaper.dataio import (parse_annotations, read_geometry_maps, read_pgm,
                                write_annotations, write_geometry_maps, write_map, write_pgm)
 from textshaper.geometry import TextPolygon, polygon_iou
 from textshaper.maps import GeometryMaps
+from textshaper.shaping import FPS_CAP, ShapingConfig, farthest_point_sample_indices
 
 
 def run(args):
@@ -97,6 +98,16 @@ class TestShape:
         assert run(["shape", "--image", img, "--resize", 64, "--out", pred,
                     "--seed", 1]) == 0
         assert pred.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--rect-width", "nan"), ("--rect-width", "inf"),
+                                             ("--min-area", "nan"), ("--min-area", -1)])
+    def test_bad_shaping_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = synth_dir(tmp_path)
+        capsys.readouterr()
+        pred = tmp_path / "pred.txt"
+        assert run(["shape", "--maps", out / "maps.tmap", "--out", pred, flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not pred.exists()
 
     @pytest.mark.parametrize("size", [0, -32, 48])
     def test_bad_resize_is_usage_error(self, tmp_path, capsys, size):
@@ -211,6 +222,15 @@ class TestBench:
                 kept.append(i)
         assert reported == expected_ops
 
+    def test_fps_kept_follows_shaping_rule(self, capsys):
+        from textshaper.cli import _bench_candidates
+
+        assert run(["bench", "--n-candidates", 50, "--trials", 1, "--seed", 5]) == 0
+        kept = int(self.parse_kv(capsys.readouterr().out)["fps_kept"])
+        pts = _bench_candidates(50, seed=5)[0]
+        assert kept == len(farthest_point_sample_indices(pts, FPS_CAP,
+                                                         ShapingConfig().coverage_radius))
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_nonpositive_trials_is_usage_error(self, capsys, trials):
         assert run(["bench", "--n-candidates", 5, "--trials", trials]) == 2
@@ -220,7 +240,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flag, value", [("--nms-iou", -1), ("--nms-iou", 1.5),
                                              ("--rect-width", 0), ("--rect-width", -2),
-                                             ("--fps-budget", 0)])
+                                             ("--rect-width", "inf")])
     def test_bad_sampling_flag_is_usage_error(self, capsys, flag, value):
         assert run(["bench", "--n-candidates", 5, "--trials", 1, flag, value]) == 2
         captured = capsys.readouterr()

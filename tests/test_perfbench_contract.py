@@ -40,3 +40,5 @@ def test_traced_straight_224_cycle_passes_checks(tmp_path, perfbench_on_path):
     assert f1 >= wl.min_f1
     assert tracer.self_times()["shaping.shape_text"] > 0
     assert tracer.counts["shaping.rects"] > 0
+    assert tracer.counts["shaping.centers_sampled"] > 0
+    assert tracer.counts["shaping.fps_budget_hits"] == 0

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import convex_intersection_area_oracle, signed_area_oracle
+from textshaper import shaping
 from textshaper.dataio import SynthBand, SynthSpec, synth_maps
 from textshaper.geometry import RotatedRect, polygon_iou, rasterize, rect_corners
 from textshaper.maps import GeometryMaps
-from textshaper.shaping import (OVERLAP_COUNTER, ShapingConfig, accumulate_and_close,
+from textshaper.shaping import (FPS_CAP, OVERLAP_COUNTER, ShapingConfig, accumulate_and_close,
                                 build_components, close_binary, connected_components, dilate,
                                 erode, extract_centers, farthest_point_sample,
                                 farthest_point_sample_indices, nms_baseline, shape_text,
@@ -109,6 +110,19 @@ def nms_oracle(rects, scores, thresh):
         if all(iou[i][j] <= thresh for j in kept):
             kept.append(i)
     return kept
+
+
+class TestShapingConfig:
+    def test_coverage_radius_from_rect_geometry(self):
+        assert ShapingConfig().coverage_radius == 4.0
+        assert ShapingConfig(rect_width=6.0, close_kernel=3).coverage_radius == 4.0
+
+    @pytest.mark.parametrize("field, value", [("rect_width", math.nan), ("rect_width", math.inf),
+                                              ("rect_width", 0.0), ("min_area", math.nan),
+                                              ("min_area", -1.0)])
+    def test_invalid_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShapingConfig(**{field: value})
 
 
 class TestExtractCenters:
@@ -453,6 +467,46 @@ class TestShapeText:
         poisoned[sy, sx] = value
         polys = shape_text(dataclasses.replace(maps, **{channel: poisoned}))
         assert max(polygon_iou(p, gt[1]) for p in polys) >= 0.90
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("channel", ["x", "h"])
+    def test_non_finite_strip_keeps_band_whole(self, channel, seed):
+        # a 3-column strip through the pixel sampling starts from: the
+        # samples around it must still cover the band's usable candidates
+        rng = np.random.default_rng(seed)
+        spec = SynthSpec(frame_h=128, frame_w=224, noise_sigma=0.05, bands=(
+            SynthBand(y_center=40.0, height=float(rng.uniform(12, 17)), x_start=14.0,
+                      x_end=210.0, amplitude=float(rng.uniform(4, 12)),
+                      period=float(rng.uniform(70, 130)), phase=float(rng.uniform(0, 6.28))),
+            SynthBand(y_center=92.0, height=float(rng.uniform(12, 17)), x_start=14.0,
+                      x_end=210.0)))
+        maps, gt = synth_maps(spec, seed=seed)
+        band0 = extract_centers(maps.center, ShapingConfig().center_thresh)[0].candidates
+        seed_x = farthest_point_sample(band0, 1)[0][0]
+        strip = band0[np.abs(band0[:, 0] - seed_x) <= 1]
+        poisoned = getattr(maps, channel).copy()
+        poisoned[strip[:, 1], strip[:, 0]] = np.inf
+        polys = shape_text(dataclasses.replace(maps, **{channel: poisoned}))
+        ious = [polygon_iou(p, gt[0]) for p in polys]
+        assert sum(iou > 0 for iou in ious) == 1
+        assert max(ious) >= 0.90
+
+    def test_all_center_map_sampling_stays_under_cap(self, monkeypatch):
+        n = 320
+        yy, xx = np.mgrid[0:n, 0:n].astype(float)
+        maps = GeometryMaps(text=np.ones((n, n)), center=np.ones((n, n)), x=xx, y=yy,
+                            h=np.full((n, n), 8.0), w=np.full((n, n), 4.0),
+                            theta=np.zeros((n, n)))
+        sizes = []
+
+        def recording(points, *args, **kwargs):
+            out = farthest_point_sample(points, *args, **kwargs)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(shaping, "farthest_point_sample", recording)
+        shape_text(maps)
+        assert sizes and max(sizes) <= FPS_CAP
 
 
 class TestNmsBaseline:
