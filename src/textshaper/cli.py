@@ -54,6 +54,8 @@ def _shaping_config(args) -> ShapingConfig:
 def cmd_shape(args) -> int:
     cfg = _shaping_config(args)
     scale = args.scale
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"--scale must be positive and finite, got {scale}")
     if args.image is not None:
         size = args.resize
         if size < 32 or size % 32:

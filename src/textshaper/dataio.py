@@ -340,6 +340,9 @@ class SynthBand:
     phase: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"band {name} must be finite, got {value}")
         if self.height <= 0:
             raise ValueError("band height must be positive")
         if self.x_end <= self.x_start:
@@ -368,8 +371,8 @@ class SynthSpec:
             raise ValueError(f"frame must be positive, got {self.frame_h}x{self.frame_w}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if not self.bands:
             raise ValueError("spec needs at least one band")
         object.__setattr__(self, "bands", tuple(self.bands))

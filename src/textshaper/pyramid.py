@@ -101,7 +101,6 @@ class DsfParams:
 class DsfOutput:
     fused: list[np.ndarray]
     head: np.ndarray
-    attentions: list[list[np.ndarray]] | None = None
 
 
 def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9) -> DsfParams:
@@ -123,14 +122,12 @@ def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9) ->
                      head_b=u(len(CHANNELS)))
 
 
-def gated_attention(tokens, params: AttentionParams,
-                    return_attention: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
     """Self-attention over (n, d) token rows: softmax(g(Q) g(K)^T / sqrt(d_k)) V.
 
     The gate g is the logistic function, the raw tokens serve as values and
-    d_k is the key dimension. Query rows go in chunks of ATTENTION_CHUNK;
-    with return_attention each chunk's softmax rows are also copied into
-    the returned n x n matrix.
+    d_k is the key dimension. Query rows go in chunks of ATTENTION_CHUNK, so
+    the n x n attention matrix is never held whole.
     """
     v = as_grid(tokens, 2)
     if v.shape[1] != params.w_q.shape[1]:
@@ -141,21 +138,17 @@ def gated_attention(tokens, params: AttentionParams,
     scale = 1.0 / math.sqrt(params.w_k.shape[0])
     n = v.shape[0]
     out = np.empty_like(v)
-    att = np.empty((n, n)) if return_attention else None
     for lo in range(0, n, ATTENTION_CHUNK):
         hi = min(lo + ATTENTION_CHUNK, n)
-        a = row_softmax(q[lo:hi] @ k.T * scale)
-        out[lo:hi] = a @ v
-        if att is not None:
-            att[lo:hi] = a
-    return out, att
+        out[lo:hi] = row_softmax(q[lo:hi] @ k.T * scale) @ v
+    return out
 
 
-def modulation_block(c_i, f_prev, params: BlockParams, return_attention: bool = False):
+def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     """One fusion block: concat, parallel conv/snake branches, gated attention.
 
     c_i and f_prev must already share (B, C, H, W); returns features of the
-    same shape (and per-batch attention matrices when requested).
+    same shape.
     """
     c_i = as_grid(c_i, 4)
     f_prev = as_grid(f_prev, 4)
@@ -168,19 +161,13 @@ def modulation_block(c_i, f_prev, params: BlockParams, return_attention: bool = 
     v = np.concatenate([v_conv, v_snake], axis=1)
     b, d, h, w = v.shape
     fused = np.empty_like(v)
-    attentions = []
     for i in range(b):
         tokens = v[i].reshape(d, h * w).T
-        out, att = gated_attention(tokens, params.attention, return_attention)
-        fused[i] = out.T.reshape(d, h, w)
-        if return_attention:
-            attentions.append(att)
-    f_i = conv2d(fused, params.proj_w, params.proj_b)
-    return (f_i, attentions) if return_attention else f_i
+        fused[i] = gated_attention(tokens, params.attention).T.reshape(d, h, w)
+    return conv2d(fused, params.proj_w, params.proj_b)
 
 
-def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = None,
-                collect_attention: bool = False) -> DsfOutput:
+def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = None) -> DsfOutput:
     """Fuse a backbone pyramid top-down and emit the seven head channels.
 
     backbone_feats are (B, C, H, W) grids ordered coarsest first per the
@@ -198,7 +185,6 @@ def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = No
             f"parameter set has {len(params.blocks)} blocks for {len(spec.levels)} levels")
     f = None
     fused = []
-    attentions = [] if collect_attention else None
     for i, (feat, block, (scale, c)) in enumerate(zip(feats, params.blocks, spec.levels)):
         if feat.shape[1] != c:
             raise ShapeMismatchError(
@@ -209,17 +195,13 @@ def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = No
                 f"level {i} (scale {scale:g}): spatial size {feat.shape[2:]} does not follow "
                 f"2x growth from previous level {prev.shape[2:]}")
         try:
-            if collect_attention:
-                f, atts = modulation_block(feat, prev, block, return_attention=True)
-                attentions.append(atts)
-            else:
-                f = modulation_block(feat, prev, block)
+            f = modulation_block(feat, prev, block)
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"level {i} (scale {scale:g}): {e}") from e
         fused.append(f)
     head = conv2d(f, params.head_w, params.head_b, padding=1)
     head[:, :2] = logistic(head[:, :2])
-    return DsfOutput(fused=fused, head=head, attentions=attentions)
+    return DsfOutput(fused=fused, head=head)
 
 
 def geometry_maps_from_head(head, index: int = 0) -> GeometryMaps:

@@ -125,8 +125,7 @@ def extract_centers(center_map, thresh: float) -> list[CenterPointSet]:
     return [CenterPointSet(candidates=pts) for pts in connected_components(cm >= thresh)]
 
 
-def farthest_point_sample_indices(points, budget: int, stop_dist: float = 0.0,
-                                  seed_index: int | None = None) -> list[int]:
+def farthest_point_sample_indices(points, budget: int, stop_dist: float = 0.0) -> list[int]:
     """Indices into `points` chosen by greedy farthest point sampling."""
     flat = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = flat.shape[0]
@@ -134,11 +133,10 @@ def farthest_point_sample_indices(points, budget: int, stop_dist: float = 0.0,
         raise ValueError("cannot sample from an empty point set")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if seed_index is None:
-        centroid = flat.mean(axis=0)
-        seed_index = int(np.argmin(((flat - centroid) ** 2).sum(axis=1)))
-    chosen = [seed_index]
-    min_d2 = ((flat - flat[seed_index]) ** 2).sum(axis=1)
+    centroid = flat.mean(axis=0)
+    seed = int(np.argmin(((flat - centroid) ** 2).sum(axis=1)))
+    chosen = [seed]
+    min_d2 = ((flat - flat[seed]) ** 2).sum(axis=1)
     stop2 = float(stop_dist) * float(stop_dist)
     while len(chosen) < budget:
         nxt = int(np.argmax(min_d2))
@@ -151,17 +149,16 @@ def farthest_point_sample_indices(points, budget: int, stop_dist: float = 0.0,
     return chosen
 
 
-def farthest_point_sample(points, budget: int, stop_dist: float = 0.0,
-                          seed_index: int | None = None) -> np.ndarray:
+def farthest_point_sample(points, budget: int, stop_dist: float = 0.0) -> np.ndarray:
     """Greedy max-min selection of up to `budget` points.
 
-    Seeds with the point nearest the centroid (or an explicit seed index),
-    then repeatedly adds the point farthest from the selected set, breaking
-    ties toward the lowest index. Stops early once the best max-min distance
-    drops below stop_dist, or when only duplicates of selected points remain.
+    Seeds with the point nearest the centroid, then repeatedly adds the
+    point farthest from the selected set, breaking ties toward the lowest
+    index. Stops early once the best max-min distance drops below
+    stop_dist, or when only duplicates of selected points remain.
     """
     pts = np.asarray(points).reshape(-1, 2)
-    return pts[farthest_point_sample_indices(pts, budget, stop_dist, seed_index)]
+    return pts[farthest_point_sample_indices(pts, budget, stop_dist)]
 
 
 def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[RotatedRect]:

@@ -48,6 +48,15 @@ class TestSynth:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--noise", "nan"), ("--noise", "inf"),
+                                             ("--height", "nan"), ("--amplitude", "nan"),
+                                             ("--phase", "inf"), ("--period", "inf")])
+    def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run(["synth", "--out", out, flag, value]) == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestShape:
     def test_shape_recovers_fixture(self, tmp_path):
@@ -107,6 +116,15 @@ class TestShape:
         pred = tmp_path / "pred.txt"
         assert run(["shape", "--maps", out / "maps.tmap", "--out", pred, flag, value]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("value", [0, -1, "nan", "inf"])
+    def test_bad_scale_is_usage_error(self, tmp_path, capsys, value):
+        pred = tmp_path / "pred.txt"
+        # The maps file does not exist: the flag must be rejected before it is read.
+        assert run(["shape", "--maps", tmp_path / "missing.tmap", "--out", pred,
+                    "--scale", value]) == 2
+        assert "--scale" in capsys.readouterr().err
         assert not pred.exists()
 
     @pytest.mark.parametrize("size", [0, -32, 48])

@@ -306,6 +306,21 @@ class TestSynthMaps:
             SynthSpec(frame_h=30, frame_w=64,
                       bands=(SynthBand(y_center=28, height=10, x_start=6, x_end=58),))
 
+    @pytest.mark.parametrize("field", ["y_center", "height", "x_start", "x_end", "amplitude",
+                                       "period", "phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_band_field_rejected(self, field, value):
+        kw = dict(y_center=20, height=10, x_start=8, x_end=88, amplitude=4.0, period=50.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"band {field} must be finite"):
+            SynthBand(**kw)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthSpec(frame_h=40, frame_w=96, noise_sigma=sigma,
+                      bands=(SynthBand(y_center=20, height=10, x_start=8, x_end=88),))
+
     def test_band_polygon_width_matches_height(self):
         band = SynthBand(y_center=20, height=12, x_start=5, x_end=60)
         poly = band_polygon(band)

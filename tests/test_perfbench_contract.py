@@ -18,11 +18,12 @@ def perfbench_on_path():
     sys.path.remove(PERFBENCH)
 
 
-def test_traced_straight_224_cycle_passes_checks(tmp_path, perfbench_on_path):
+def traced_cycle(name, work):
+    """Set up a workload and run its first slot cycle under the tracer."""
     from tracing import Tracer
     from workloads import WORKLOADS
 
-    wl = WORKLOADS["straight-224"](tmp_path / "work", seed=1)
+    wl = WORKLOADS[name](work, seed=1)
     wl.setup()
     tracer = Tracer()
     tracer.install()
@@ -33,6 +34,11 @@ def test_traced_straight_224_cycle_passes_checks(tmp_path, perfbench_on_path):
             results.append(wl.frame(i))
     finally:
         tracer.uninstall()
+    return wl, tracer, results
+
+
+def test_traced_straight_224_cycle_passes_checks(tmp_path, perfbench_on_path):
+    wl, tracer, results = traced_cycle("straight-224", tmp_path / "work")
     assert wl.errors == []
     assert all(r.ok for r in results)
     f1 = prf(sum(r.tp for r in results), sum(r.fp for r in results),
@@ -42,3 +48,13 @@ def test_traced_straight_224_cycle_passes_checks(tmp_path, perfbench_on_path):
     assert tracer.counts["shaping.rects"] > 0
     assert tracer.counts["shaping.centers_sampled"] > 0
     assert tracer.counts["shaping.fps_budget_hits"] == 0
+
+
+def test_traced_forward_img_canary_cycle_passes_checks(tmp_path, perfbench_on_path):
+    # The first cycle is the two canary images (128 and 192 px), whose heads
+    # must match the stored reference heads.
+    wl, tracer, results = traced_cycle("forward-img", tmp_path / "work")
+    assert wl.errors == []
+    assert all(r.ok for r in results)
+    assert tracer.self_times()["pyramid.dsf_forward"] > 0
+    assert tracer.counts["snakeconv.gathered_values"] == 0

@@ -54,7 +54,7 @@ class TestGatedAttention:
         b_q = np.array([0.05, -0.1])
         b_k = np.array([0.2, 0.0])
         params = AttentionParams(w_q=w_q, w_k=w_k, b_q=b_q, b_k=b_k)
-        out, att = gated_attention(v, params, return_attention=True)
+        out = gated_attention(v, params)
 
         def sig(z):
             return 1.0 / (1.0 + math.exp(-z))
@@ -70,32 +70,23 @@ class TestGatedAttention:
             z = sum(exps)
             for j in range(2):
                 expected_att[i, j] = exps[j] / z
-        np.testing.assert_allclose(att, expected_att, atol=1e-12)
+        # v is invertible, so matching expected_att @ v pins the attention matrix.
         np.testing.assert_allclose(out, expected_att @ v, atol=1e-12)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=(10, 4))
-        params = AttentionParams(w_q=rng.normal(size=(4, 4)), w_k=rng.normal(size=(4, 4)),
-                                 b_q=rng.normal(size=4), b_k=rng.normal(size=4))
-        _, att = gated_attention(v, params, return_attention=True)
-        np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
 
     def test_chunked_matches_full(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=(32, 3))
         params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
                                  b_q=rng.normal(size=3), b_k=rng.normal(size=3))
-        full, att = gated_attention(v, params, return_attention=True)
+        full = gated_attention(v, params)
         import textshaper.pyramid as pyr
         old = pyr.ATTENTION_CHUNK
         try:
             pyr.ATTENTION_CHUNK = 7
-            chunked, _ = gated_attention(v, params)
+            chunked = gated_attention(v, params)
         finally:
             pyr.ATTENTION_CHUNK = old
         np.testing.assert_allclose(chunked, full, atol=1e-12)
-        np.testing.assert_allclose(full, att @ v, atol=1e-12)
 
 
 class TestModulationBlock:
@@ -112,8 +103,7 @@ class TestModulationBlock:
             proj_w=rng.normal(size=(c, d, 1, 1)), proj_b=rng.normal(size=c))
         c_i = rng.normal(size=(1, c, h, w))
         f_prev = rng.normal(size=(1, c, h, w))
-        out, atts = modulation_block(c_i, f_prev, params, return_attention=True)
-        np.testing.assert_allclose(atts[0], 1.0 / (h * w), atol=1e-12)
+        out = modulation_block(c_i, f_prev, params)
 
         from textshaper.snakeconv import dsc_forward
         x = np.concatenate([c_i, f_prev], axis=1)
@@ -147,13 +137,10 @@ class TestDsfForward:
         rng = np.random.default_rng(4)
         params = init_dsf_params(spec, seed=1, kernel_length=3)
         feats = pyramid_feats(spec, base=16, rng=rng)
-        out = dsf_forward(feats, params, spec, collect_attention=True)
+        out = dsf_forward(feats, params, spec)
         assert out.head.shape == (1, 7, 16, 16)
         assert [f.shape for f in out.fused] == [(1, 8, 2, 2), (1, 8, 4, 4),
                                                 (1, 8, 8, 8), (1, 8, 16, 16)]
-        for level_atts in out.attentions:
-            for att in level_atts:
-                np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
         maps = geometry_maps_from_head(out.head)
         assert maps.shape == (16, 16)
 

@@ -168,10 +168,11 @@ class TestFarthestPointSample:
         out = farthest_point_sample(np.array([[4, 7]]), budget=5)
         np.testing.assert_array_equal(out, [[4, 7]])
 
-    def test_triangle_with_explicit_seed(self):
+    def test_triangle_tie_breaks_to_lowest_index(self):
+        # Seed (5, 1) is nearest the centroid; (0, 0) and (10, 0) tie for farthest.
         t = np.array([[0, 0], [10, 0], [5, 1]])
-        out = farthest_point_sample(t, budget=2, seed_index=0)
-        np.testing.assert_array_equal(out, [[0, 0], [10, 0]])
+        out = farthest_point_sample(t, budget=2)
+        np.testing.assert_array_equal(out, [[5, 1], [0, 0]])
 
     def test_triangle_default_seed_is_nearest_centroid(self):
         t = np.array([[0, 0], [10, 0], [5, 1]])
