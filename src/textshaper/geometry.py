@@ -150,23 +150,43 @@ def clip_convex(subject, clip) -> np.ndarray:
 
 
 def _scanline_inside(pts: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Even-odd containment of the grid ys x xs of sample points.
+    """Even-odd containment of the grid ys x xs of sample points (ys, xs ascending).
 
     Equivalent to ray casting each point toward +x: a point is inside when
-    an odd number of edge crossings lie strictly to its right.
+    an odd number of edge crossings lie strictly to its right. Each edge
+    crosses the rows whose y lies in [min(y1, y2), max(y1, y2)); every
+    (row, edge) crossing is binned by the number of samples left of it, and
+    a reverse cumulative sum counts the crossings right of each sample.
+    Counts are kept in uint8: wrapping modulo 256 keeps their parity.
     """
-    inside = np.zeros((ys.size, xs.size), dtype=bool)
-    x1s, y1s = pts[:, 0], pts[:, 1]
-    x2s, y2s = np.roll(x1s, -1), np.roll(y1s, -1)
-    for row, py in enumerate(ys):
-        hit = (y1s > py) != (y2s > py)
-        if not np.any(hit):
-            continue
-        xc = x1s[hit] + (py - y1s[hit]) * (x2s[hit] - x1s[hit]) / (y2s[hit] - y1s[hit])
-        xc.sort()
-        idx = np.searchsorted(xc, xs, side="right")
-        inside[row] = (xc.size - idx) % 2 == 1
-    return inside
+    x1s, y1s = pts.T
+    x2s, y2s = np.concatenate([pts[1:], pts[:1]]).T
+    lo = np.searchsorted(ys, np.minimum(y1s, y2s), side="left")
+    hi = np.searchsorted(ys, np.maximum(y1s, y2s), side="left")
+    n = hi - lo
+    edge = np.repeat(np.arange(pts.shape[0]), n)
+    row = np.arange(edge.size) - np.repeat(np.cumsum(n) - n - lo, n)
+    x1, y1 = x1s[edge], y1s[edge]
+    xc = x1 + (ys[row] - y1) * (x2s[edge] - x1) / (y2s[edge] - y1)
+    hist = np.zeros((ys.size, xs.size + 1), dtype=np.uint8)
+    np.add.at(hist, (row, np.searchsorted(xs, xc, side="left")), 1)
+    right = np.cumsum(hist[:, :0:-1], axis=1, dtype=np.uint8)[:, ::-1]
+    return (right & 1).astype(bool)
+
+
+def _raster_window(pts: np.ndarray, h: int, w: int):
+    """Rows, columns and even-odd block of a polygon's pixel bounding box
+    clipped to h x w, or None when that box is empty."""
+    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
+    i0 = max(int(math.floor(ymin - 0.5)), 0)
+    i1 = min(int(math.ceil(ymax - 0.5)) + 1, h)
+    j0 = max(int(math.floor(xmin - 0.5)), 0)
+    j1 = min(int(math.ceil(xmax - 0.5)) + 1, w)
+    if i0 >= i1 or j0 >= j1:
+        return None
+    ys = np.arange(i0, i1) + 0.5
+    xs = np.arange(j0, j1) + 0.5
+    return slice(i0, i1), slice(j0, j1), _scanline_inside(pts, ys, xs)
 
 
 def rasterize(shape, h: int, w: int) -> np.ndarray:
@@ -176,17 +196,11 @@ def rasterize(shape, h: int, w: int) -> np.ndarray:
     """
     if h <= 0 or w <= 0:
         raise ValueError(f"frame must be positive, got {h}x{w}")
-    pts = _vertices_of(shape)
     mask = np.zeros((h, w), dtype=bool)
-    i0 = max(int(math.floor(pts[:, 1].min() - 0.5)), 0)
-    i1 = min(int(math.ceil(pts[:, 1].max() - 0.5)) + 1, h)
-    j0 = max(int(math.floor(pts[:, 0].min() - 0.5)), 0)
-    j1 = min(int(math.ceil(pts[:, 0].max() - 0.5)) + 1, w)
-    if i0 >= i1 or j0 >= j1:
-        return mask
-    ys = np.arange(i0, i1) + 0.5
-    xs = np.arange(j0, j1) + 0.5
-    mask[i0:i1, j0:j1] = _scanline_inside(pts, ys, xs)
+    window = _raster_window(_vertices_of(shape), h, w)
+    if window is not None:
+        rows, cols, block = window
+        mask[rows, cols] = block
     return mask
 
 

@@ -1,6 +1,7 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def finite_diff_grad(f, x, step=1e-5):
@@ -42,6 +43,59 @@ def rasterize_oracle(verts, h, w):
         for j in range(w):
             out[i, j] = point_in_polygon_oracle(j + 0.5, i + 0.5, verts)
     return out
+
+
+def scanline_rows_oracle(pts, ys, xs):
+    """Even-odd containment of the grid ys x xs, one row at a time: the
+    crossings of each row are sorted and counted right of every x."""
+    inside = np.zeros((ys.size, xs.size), dtype=bool)
+    x1s, y1s = pts[:, 0], pts[:, 1]
+    x2s, y2s = np.roll(x1s, -1), np.roll(y1s, -1)
+    for row, py in enumerate(ys):
+        hit = (y1s > py) != (y2s > py)
+        if not np.any(hit):
+            continue
+        xc = x1s[hit] + (py - y1s[hit]) * (x2s[hit] - x1s[hit]) / (y2s[hit] - y1s[hit])
+        xc.sort()
+        idx = np.searchsorted(xc, xs, side="right")
+        inside[row] = (xc.size - idx) % 2 == 1
+    return inside
+
+
+def label8_bfs_oracle(mask):
+    """8-connected labeling by flood fill from each unlabeled pixel in scan
+    order. Returns (label grid with -1 background, per-label (n, 2) int64 x,y
+    points sorted row-major)."""
+    m = np.asarray(mask, dtype=bool)
+    h, w = m.shape
+    labels = np.full((h, w), -1, dtype=np.int32)
+    comps = []
+    for sy, sx in zip(*np.nonzero(m)):
+        if labels[sy, sx] >= 0:
+            continue
+        lab = len(comps)
+        labels[sy, sx] = lab
+        stack = [(int(sy), int(sx))]
+        pts = []
+        while stack:
+            y, x = stack.pop()
+            pts.append((x, y))
+            for ny in range(max(y - 1, 0), min(y + 2, h)):
+                for nx in range(max(x - 1, 0), min(x + 2, w)):
+                    if m[ny, nx] and labels[ny, nx] < 0:
+                        labels[ny, nx] = lab
+                        stack.append((ny, nx))
+        pts.sort(key=lambda p: (p[1], p[0]))
+        comps.append(np.array(pts, dtype=np.int64).reshape(-1, 2))
+    return labels, comps
+
+
+def square_window_oracle(mask, kernel, all_=False):
+    """Any (dilation) or all (erosion) over each pixel's kernel x kernel
+    window, outside the frame False, as one 2-D window reduction."""
+    padded = np.pad(np.asarray(mask, dtype=bool), kernel // 2, constant_values=False)
+    windows = sliding_window_view(padded, (kernel, kernel))
+    return windows.all(axis=(2, 3)) if all_ else windows.any(axis=(2, 3))
 
 
 def signed_area_oracle(verts):

@@ -197,6 +197,35 @@ def test_c11_large_frame_multi_band_shaping():
             assert counts == (4, 0, 0), f"{h}x{w}: TP/FP/FN {counts}, want (4, 0, 0)"
 
 
+def test_c12_merge_distance_of_two_bands():
+    # shape_text closes the union of every component's rectangles, so two
+    # instances whose edges come within close_kernel - 1 px merge
+    with criterion(12, "two straight bands merge at a 4 px gap, stay apart at 5 px",
+                   budget_s=30.0):
+        for gap, n_polys, want in ((4, 1, (0, 1, 2)), (5, 2, (2, 0, 0))):
+            offset = (14.0 + gap) / 2
+            bands = tuple(SynthBand(y_center=64.0 + side * offset, height=14.0, x_start=14.0,
+                                    x_end=210.0) for side in (-1, 1))
+            maps, gt = synth_maps(SynthSpec(frame_h=128, frame_w=224, bands=bands), seed=0)
+            polys = shape_text(maps)
+            assert len(polys) == n_polys, f"gap {gap} px: {len(polys)} polygons"
+            counts = match_image(polys, gt, 0.5)
+            assert counts == want, f"gap {gap} px: TP/FP/FN {counts}, want {want}"
+
+
+def test_c13_dark_frames_keep_bands_whole():
+    # gamma 0.15 with noise splits each centre line into hundreds of
+    # components; shaped through one union mask they still give one
+    # polygon per band
+    with criterion(13, "shaping of dark frames (gamma 0.15, sigma 0.1)", budget_s=60.0):
+        counts = []
+        for i, spec in enumerate(shaping_suite(noise_sigma=0.1, gamma=0.15)[:6]):
+            maps, gt = synth_maps(spec, seed=100 + i)
+            counts.append((f"img{i}", *match_image(shape_text(maps), gt, 0.5)))
+        report = aggregate(counts)
+        assert report.f1 >= 0.95, f"dark-suite F1 {100 * report.f1:.1f}% below 95%: {counts}"
+
+
 def finite_diff(f, x, step=1e-5):
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])

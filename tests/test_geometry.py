@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (convex_hull, convex_intersection_area_oracle, exact_iou_oracle,
-                     rasterize_oracle)
+                     rasterize_oracle, scanline_rows_oracle)
+from textshaper import geometry
 from textshaper.geometry import (RotatedRect, TextPolygon, clip_convex, is_convex,
                                  normalize_angle, polygon_area, polygon_iou, rasterize,
                                  rect_corners)
@@ -112,6 +113,78 @@ class TestRasterize:
         est = mask.sum() / scale ** 2
         area, perim = r.h * r.w, 2 * (r.h + r.w)
         assert abs(est - area) / area < 2 * perim / area / scale
+
+
+def random_scan_polygon(rng, i):
+    """Axis-aligned rects on half-integer edges (vertices on sample rows and
+    columns, zero extents included), rotated rects, star-shaped polygons and
+    self-intersecting ones, in turn."""
+    kind = i % 4
+    if kind == 0:
+        x0, y0 = rng.integers(-4, 28, size=2) + 0.5
+        w, h = rng.integers(0, 12, size=2) * 0.5
+        return np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+    if kind == 1:
+        return rect_corners(RotatedRect(cx=float(rng.uniform(-4, 36)),
+                                        cy=float(rng.uniform(-4, 28)),
+                                        h=float(rng.uniform(0.1, 15)), w=float(rng.uniform(0.1, 8)),
+                                        theta=float(rng.uniform(-1.57, 1.57))))
+    n = int(rng.integers(3, 30))
+    if kind == 2:
+        angles = np.sort(rng.uniform(0, 2 * math.pi, n))
+        radii = rng.uniform(2, 14, n)
+        return np.column_stack([16 + radii * np.cos(angles), 12 + radii * np.sin(angles)])
+    return rng.uniform(-3, 36, size=(n, 2))
+
+
+class TestScanline:
+    """The vectorised scanline equals the per-row oracle bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_row_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        ys = np.arange(-2, 26) + 0.5
+        xs = np.arange(-2, 34) + 0.5
+        for i in range(60):
+            pts = random_scan_polygon(rng, i)
+            np.testing.assert_array_equal(geometry._scanline_inside(pts, ys, xs),
+                                          scanline_rows_oracle(pts, ys, xs))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rasterize_matches_per_row_oracle(self, seed, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        shapes = [random_scan_polygon(rng, i) for i in range(60)]
+        fast = [rasterize(p, 24, 32) for p in shapes]
+        monkeypatch.setattr(geometry, "_scanline_inside", scanline_rows_oracle)
+        for p, got in zip(shapes, fast):
+            np.testing.assert_array_equal(got, rasterize(p, 24, 32))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raster_iou_matches_per_row_oracle(self, seed, monkeypatch):
+        rng = np.random.default_rng(200 + seed)
+        pairs = []
+        for i in range(12):
+            a = random_scan_polygon(rng, 2 + i % 2)
+            pairs.append((a, a + rng.uniform(-2, 2, size=a.shape)))
+        fast = [geometry._raster_iou(a, b) for a, b in pairs]
+        monkeypatch.setattr(geometry, "_scanline_inside", scanline_rows_oracle)
+        assert fast == [geometry._raster_iou(a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("teeth", [127, 128, 300])
+    def test_many_crossings_between_two_samples(self, teeth):
+        # a zigzag whose 2 * teeth edges all cross each row between the
+        # samples x = 10.5 and x = 11.5, more than a uint8 count holds
+        xs_zig = 10.6 + 0.8 * np.arange(2 * teeth) / (2 * teeth)
+        ys_zig = np.where(np.arange(2 * teeth) % 2, 9.0, 1.0)
+        pts = np.vstack([np.column_stack([xs_zig, ys_zig]), [[30.0, 9.0], [30.0, 0.0]]])
+        ys, xs = np.arange(12) + 0.5, np.arange(34) + 0.5
+        np.testing.assert_array_equal(geometry._scanline_inside(pts, ys, xs),
+                                      scanline_rows_oracle(pts, ys, xs))
+
+    def test_no_crossing_rows_or_columns(self):
+        pts = np.array([[2.0, 2.0], [6.0, 2.0], [6.0, 6.0], [2.0, 6.0]])
+        assert not geometry._scanline_inside(pts, np.array([0.5, 7.5]), np.arange(8) + 0.5).any()
+        assert geometry._scanline_inside(pts, np.arange(8) + 0.5, np.empty(0)).shape == (8, 0)
 
 
 class TestPolygonIou:

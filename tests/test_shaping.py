@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import convex_intersection_area_oracle, signed_area_oracle
+from helpers import (convex_intersection_area_oracle, label8_bfs_oracle, signed_area_oracle,
+                     square_window_oracle)
 from textshaper import shaping
 from textshaper.dataio import SynthBand, SynthSpec, synth_maps
 from textshaper.geometry import RotatedRect, polygon_iou, rasterize, rect_corners
@@ -43,31 +44,6 @@ def fps_oracle(points, budget, stop_dist=0.0, seed_index=None):
             break
         chosen.append(best_i)
     return chosen
-
-
-def flood_fill_components_oracle(mask):
-    """4/8-neighbour BFS labeling, independent of the library implementation."""
-    h, w = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
-    comps = []
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or seen[sy, sx]:
-                continue
-            q = [(sy, sx)]
-            seen[sy, sx] = True
-            pix = []
-            while q:
-                y, x = q.pop()
-                pix.append((x, y))
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = y + dy, x + dx
-                        if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
-                            seen[ny, nx] = True
-                            q.append((ny, nx))
-            comps.append(sorted(pix, key=lambda p: (p[1], p[0])))
-    return comps
 
 
 def dilate_oracle(mask, k):
@@ -141,26 +117,84 @@ class TestExtractCenters:
         m[1:4, 1:5] = 1.0
         m[6:9, 7:11] = 1.0
         comps = extract_centers(m, 0.5)
-        oracle = flood_fill_components_oracle(m >= 0.5)
+        oracle = label8_bfs_oracle(m >= 0.5)[1]
         assert len(comps) == 2
         assert [c.candidates.shape[0] for c in comps] == [len(o) for o in oracle]
         for c, o in zip(comps, oracle):
-            np.testing.assert_array_equal(c.candidates, np.array(o))
+            np.testing.assert_array_equal(c.candidates, o)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_masks_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         m = (rng.uniform(size=(12, 12)) > 0.6).astype(float)
         comps = connected_components(m >= 0.5)
-        oracle = flood_fill_components_oracle(m >= 0.5)
+        oracle = label8_bfs_oracle(m >= 0.5)[1]
         assert len(comps) == len(oracle)
         for c, o in zip(comps, oracle):
-            np.testing.assert_array_equal(c, np.array(o).reshape(-1, 2))
+            np.testing.assert_array_equal(c, o)
 
     def test_diagonal_pixels_are_one_component(self):
         m = np.zeros((4, 4))
         m[0, 0] = m[1, 1] = 1.0
         assert len(extract_centers(m, 0.5)) == 1
+
+
+def assert_labels_match_bfs(mask):
+    labels, comps = shaping._label8(mask)
+    want_labels, want_comps = label8_bfs_oracle(mask)
+    np.testing.assert_array_equal(labels, want_labels)
+    assert labels.dtype == want_labels.dtype
+    assert len(comps) == len(want_comps)
+    for got, want in zip(comps, want_comps):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+
+
+class TestLabel8:
+    """The run-based labeller equals the flood-fill oracle bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 11)])
+    def test_empty(self, shape):
+        assert_labels_match_bfs(np.zeros(shape, dtype=bool))
+        assert shaping._label8(np.zeros(shape, dtype=bool))[1] == []
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 11)])
+    def test_full(self, shape):
+        assert_labels_match_bfs(np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("y, x", [(0, 0), (0, 10), (6, 0), (6, 10), (3, 5)])
+    def test_single_pixel(self, y, x):
+        m = np.zeros((7, 11), dtype=bool)
+        m[y, x] = True
+        assert_labels_match_bfs(m)
+
+    def test_diagonal_only(self):
+        # anti-diagonal chains join only through corners; the checkerboard
+        # is one component under 8-connectivity
+        m = np.zeros((9, 9), dtype=bool)
+        for i in range(9):
+            m[i, 8 - i] = True
+            m[i, i // 2] = True
+        assert_labels_match_bfs(m)
+        board = (np.add.outer(np.arange(8), np.arange(8)) % 2).astype(bool)
+        assert_labels_match_bfs(board)
+        assert len(shaping._label8(board)[1]) == 1
+
+    def test_runs_touching_only_at_run_ends(self):
+        m = np.zeros((4, 12), dtype=bool)
+        m[0, 2:5] = True
+        m[1, 5:8] = True  # touches the run above at its end, diagonally
+        m[2, 0:4] = True  # one column short of touching the run above
+        m[3, 8:10] = True  # touches row 1 only, which is two rows up
+        assert_labels_match_bfs(m)
+        assert len(shaping._label8(m)[1]) == 3
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(1, 24, size=2))
+            assert_labels_match_bfs(rng.uniform(size=(h, w)) < rng.uniform(0.05, 0.95))
 
 
 class TestFarthestPointSample:
@@ -291,6 +325,16 @@ class TestMorphology:
         np.testing.assert_array_equal(dilate(m, k), dilate_oracle(m, k))
         np.testing.assert_array_equal(erode(m, k), erode_oracle(m, k))
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_separable_matches_2d_window(self, seed, k):
+        rng = np.random.default_rng(seed)
+        for shape in [(1, 17), (17, 1), (1, 1), (13, 19), (2, 3)]:
+            m = rng.uniform(size=shape) < rng.uniform(0.2, 0.9)
+            m[0, :] |= rng.uniform(size=shape[1]) < 0.5  # shapes touching the border
+            np.testing.assert_array_equal(dilate(m, k), square_window_oracle(m, k))
+            np.testing.assert_array_equal(erode(m, k), square_window_oracle(m, k, all_=True))
+
     def test_closing_solid_rectangle_unchanged(self):
         m = np.zeros((16, 16), dtype=bool)
         m[4:11, 3:13] = True
@@ -328,6 +372,20 @@ class TestAccumulateAndClose:
         rect = RotatedRect(cx=8, cy=8, h=6, w=10, theta=0.0)
         raw = rasterize(rect, 16, 16)
         np.testing.assert_array_equal(accumulate_and_close([rect], (16, 16), cfg), raw)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_union_of_rasterized_rects(self, seed):
+        rng = np.random.default_rng(seed)
+        rects = [RotatedRect(cx=float(rng.uniform(-6, 46)), cy=float(rng.uniform(-6, 30)),
+                             h=float(rng.uniform(0.5, 14)), w=float(rng.uniform(0.5, 6)),
+                             theta=float(rng.uniform(-1.5, 1.5))) for _ in range(30)]
+        union = np.zeros((24, 40), dtype=bool)
+        for r in rects:
+            union |= rasterize(r, 24, 40)
+        cfg = ShapingConfig(close_kernel=3)
+        np.testing.assert_array_equal(accumulate_and_close(rects, (24, 40), cfg),
+                                      close_binary(union, 3))
 
 
 class TestTraceContours:
@@ -413,6 +471,27 @@ class TestTraceContours:
         np.testing.assert_array_equal(combined, fill_holes(m))
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_translation_exact(self, seed):
+        # shifting the mask by whole pixels shifts every simplified
+        # polygon by exactly that amount
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(size=(30, 40)) < 0.55
+        polys = trace_contours(m, min_area=4.0)
+        shifted = trace_contours(np.pad(m, ((7, 0), (13, 0))), min_area=4.0)
+        assert len(shifted) == len(polys) > 0
+        for p, q in zip(polys, shifted):
+            np.testing.assert_array_equal(q.vertices, p.vertices + [13.0, 7.0])
+
+    def test_point_segment_distance_depends_on_differences_only(self):
+        rng = np.random.default_rng(0)
+        pts = rng.integers(0, 50, size=(200, 2)).astype(float)
+        a, b = np.array([3.0, 4.0]), np.array([41.0, 29.0])
+        d = shaping._point_segment_dist(pts, a, b)
+        off = np.array([1013.0, 517.0])
+        np.testing.assert_array_equal(shaping._point_segment_dist(pts + off, a + off, b + off), d)
+
+
 class TestShapeText:
     def band_maps(self, two=False, seed=0):
         bands = [SynthBand(y_center=24.0, height=12.0, x_start=8.0, x_end=120.0,
@@ -428,8 +507,29 @@ class TestShapeText:
         assert len(polys) == 1
         assert polygon_iou(polys[0], gt[0]) >= 0.90
 
+    def test_padded_maps_shift_polygons_exactly(self):
+        maps, _ = self.band_maps(two=True)
+        dy, dx = 7, 13
+
+        def pad(a):
+            return np.pad(a, ((dy, 5), (dx, 3)))
+
+        padded = GeometryMaps(text=pad(maps.text), center=pad(maps.center),
+                              x=pad(maps.x + dx), y=pad(maps.y + dy), h=pad(maps.h),
+                              w=pad(maps.w), theta=pad(maps.theta))
+        polys, shifted = shape_text(maps), shape_text(padded)
+        assert len(shifted) == len(polys) == 2
+        for p, q in zip(polys, shifted):
+            np.testing.assert_array_equal(q.vertices, p.vertices + [dx, dy])
+
     def test_all_zero_maps_empty(self):
         z = np.zeros((32, 32))
+        maps = GeometryMaps(text=z, center=z, x=z, y=z, h=z, w=z, theta=z)
+        assert shape_text(maps) == []
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_zero_size_maps_empty(self, shape):
+        z = np.zeros(shape)
         maps = GeometryMaps(text=z, center=z, x=z, y=z, h=z, w=z, theta=z)
         assert shape_text(maps) == []
 
