@@ -66,18 +66,27 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
+# Signs of (w / 2, h / 2) at the four corners, counter-clockwise by the
+# shoelace sign; multiplying by +-1 is exact.
+_CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+def _corner_terms(r: RotatedRect) -> tuple:
+    c, s = math.cos(r.theta), math.sin(r.theta)
+    return r.cx, r.cy, r.w / 2.0, r.h / 2.0, c, s, -s, c
+
+
+def rects_corners(rects) -> np.ndarray:
+    """The four corners of each rect as a (k, 4, 2) array, counter-clockwise
+    by the shoelace sign: the local corners times the transposed rotation
+    [[c, s], [-s, c]], one stacked matrix product, plus the centre."""
+    p = np.array([_corner_terms(r) for r in rects]).reshape(-1, 8)
+    return np.matmul(_CORNER_SIGNS * p[:, None, 2:4], p[:, 4:].reshape(-1, 2, 2)) + p[:, None, :2]
+
+
 def rect_corners(rect: RotatedRect) -> np.ndarray:
     """The four corners of a rect, counter-clockwise by the shoelace sign."""
-    c, s = math.cos(rect.theta), math.sin(rect.theta)
-    hw, hh = rect.w / 2.0, rect.h / 2.0
-    local = np.array([
-        (-hw, -hh),
-        (hw, -hh),
-        (hw, hh),
-        (-hw, hh),
-    ])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([rect.cx, rect.cy])
+    return rects_corners([rect])[0]
 
 
 def _vertices_of(shape) -> np.ndarray:
@@ -149,44 +158,99 @@ def clip_convex(subject, clip) -> np.ndarray:
     return np.array(out).reshape(-1, 2)
 
 
-def _scanline_inside(pts: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Even-odd containment of the grid ys x xs of sample points (ys, xs ascending).
-
-    Equivalent to ray casting each point toward +x: a point is inside when
-    an odd number of edge crossings lie strictly to its right. Each edge
-    crosses the rows whose y lies in [min(y1, y2), max(y1, y2)); every
-    (row, edge) crossing is binned by the number of samples left of it, and
-    a reverse cumulative sum counts the crossings right of each sample.
-    Counts are kept in uint8: wrapping modulo 256 keeps their parity.
-    """
-    x1s, y1s = pts.T
-    x2s, y2s = np.concatenate([pts[1:], pts[:1]]).T
-    lo = np.searchsorted(ys, np.minimum(y1s, y2s), side="left")
-    hi = np.searchsorted(ys, np.maximum(y1s, y2s), side="left")
-    n = hi - lo
-    edge = np.repeat(np.arange(pts.shape[0]), n)
-    row = np.arange(edge.size) - np.repeat(np.cumsum(n) - n - lo, n)
+def _packed_crossings(xy, ys, xs, shift, width, size) -> np.ndarray:
+    """uint8 histogram of the edge crossings of every window row, packed
+    window by window and row by row; row r of window i starts at
+    shift[i] + r * width[i] + start column. Kept apart from
+    `_scanline_inside` so that its crossing-sized arrays are freed before
+    the inside samples are placed."""
+    n = xy.shape[2]
+    x1s, y1s = xy[0].ravel(), xy[1].ravel()
+    ends = np.concatenate((xy[..., 1:], xy[..., :1]), axis=2)
+    x2s, y2s = ends[0].ravel(), ends[1].ravel()
+    lo = ys.searchsorted(np.minimum(y1s, y2s), side="left")
+    cnt = ys.searchsorted(np.maximum(y1s, y2s), side="left") - lo
+    edge = np.repeat(np.arange(cnt.size), cnt)
+    row = np.arange(edge.size) - np.repeat(cnt.cumsum() - cnt - lo, cnt)
     x1, y1 = x1s[edge], y1s[edge]
     xc = x1 + (ys[row] - y1) * (x2s[edge] - x1) / (y2s[edge] - y1)
-    hist = np.zeros((ys.size, xs.size + 1), dtype=np.uint8)
-    np.add.at(hist, (row, np.searchsorted(xs, xc, side="left")), 1)
-    right = np.cumsum(hist[:, :0:-1], axis=1, dtype=np.uint8)[:, ::-1]
-    return (right & 1).astype(bool)
+    poly = edge // n
+    cell = xs.searchsorted(xc, side="left") + shift[poly] + row * width[poly]
+    hist = np.zeros(size, dtype=np.uint8)
+    # A uint8 increment keeps ufunc.at on its fast typed loop.
+    np.add.at(hist, cell, np.uint8(1))
+    return hist
 
 
-def _raster_window(pts: np.ndarray, h: int, w: int):
-    """Rows, columns and even-odd block of a polygon's pixel bounding box
-    clipped to h x w, or None when that box is empty."""
-    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
-    i0 = max(int(math.floor(ymin - 0.5)), 0)
-    i1 = min(int(math.ceil(ymax - 0.5)) + 1, h)
-    j0 = max(int(math.floor(xmin - 0.5)), 0)
-    j1 = min(int(math.ceil(xmax - 0.5)) + 1, w)
-    if i0 >= i1 or j0 >= j1:
-        return None
-    ys = np.arange(i0, i1) + 0.5
-    xs = np.arange(j0, j1) + 0.5
-    return slice(i0, i1), slice(j0, j1), _scanline_inside(pts, ys, xs)
+def _scanline_inside(xy: np.ndarray, ys: np.ndarray, xs: np.ndarray, start: np.ndarray,
+                     stop: np.ndarray, out: np.ndarray) -> None:
+    """OR into the C-ordered bool grid `out` the samples of the grid ys x xs
+    (both ascending) that lie inside any of k polygons by the even-odd rule.
+
+    xy is (2, k, n): the x and the y coordinates of each polygon's n
+    vertices. Polygon i is tested only on its window of the grid: columns
+    start[0, i]:stop[0, i] and rows start[1, i]:stop[1, i]. A window must
+    hold every sample closer than one unit to its polygon's bounding box,
+    or reach the grid's edge there, so that every crossing's row and bin
+    fall inside it: the whole grid does, and so does a polygon's pixel
+    bounding box on the pixel-centre grid. Equivalent to ray casting each
+    sample toward +x: it is inside when an odd number of edge crossings lie
+    strictly to its right. Each edge crosses the rows whose y lies in
+    [min(y1, y2), max(y1, y2)). Every (row, edge) crossing is binned by the
+    number of window samples left of it into one histogram that packs the
+    windows' rows, each with one bin more than the window has columns. Bin
+    c of a row counts the crossings between samples c - 1 and c. As every
+    row holds an even number of crossings, those right of sample c have the
+    parity of those left of it, which a cumulative sum over the packed
+    histogram gives at bin c: earlier rows add even counts. Counts are kept
+    in uint8: wrapping modulo 256 keeps their parity. Rows and bins come
+    from searchsorted over the whole grid, which compares with the same
+    sample values the window holds.
+    """
+    (c0, r0), (c1, r1) = start, stop
+    width = c1 - c0 + 1
+    nrows = r1 - r0
+    cells = nrows * width
+    base = cells.cumsum() - cells
+    hist = _packed_crossings(xy, ys, xs, base - r0 * width - c0, width,
+                             int(base[-1] + cells[-1]))
+    odd = (hist.cumsum(dtype=np.uint8) & 1).view(bool)
+    if xy.shape[1] == 1:
+        # One window: a block of rows, each row's last bin past its samples.
+        # Placing it whole is about 4x faster than the scatter below on the
+        # large windows of the raster-IoU fallback.
+        out[r0[0]:r1[0], c0[0]:c1[0]] |= odd.reshape(nrows[0], width[0])[:, :-1]
+        return
+    # A row's last bin is never odd, as the row's crossings are even in
+    # number. Each packed row's positions map to the grid's flat indices by
+    # one offset.
+    row_owner = np.repeat(np.arange(nrows.size), nrows)
+    local = np.arange(row_owner.size) - np.repeat(nrows.cumsum() - nrows, nrows)
+    row_start = base[row_owner] + local * width[row_owner]
+    to_grid = (r0[row_owner] + local) * out.shape[1] + c0[row_owner] - row_start
+    p = np.flatnonzero(odd)
+    p += to_grid[row_start.searchsorted(p, side="right") - 1]
+    np.put(out, p, True)
+
+
+def rasterize_union(polys, h: int, w: int) -> np.ndarray:
+    """Pixel-centre even-odd rasterization of the union of k polygons with n
+    vertices each, given as (k, n, 2), clipped to h x w. Returns a bool (h, w)
+    mask. Each polygon is scanned in its pixel bounding box only."""
+    if h <= 0 or w <= 0:
+        raise ValueError(f"frame must be positive, got {h}x{w}")
+    xy = np.ascontiguousarray(np.asarray(polys, dtype=np.float64).transpose(2, 0, 1))
+    mask = np.zeros((h, w), dtype=bool)
+    if xy.shape[1] == 0:
+        return mask
+    if not np.isfinite(xy).all():
+        raise ValueError("polygon vertices must be finite")
+    # Pixel bounding boxes clipped to the frame: [start, stop) column and
+    # row indices, stacked; a box off the frame comes out empty.
+    box = np.concatenate((np.floor(xy.min(axis=2) - 0.5), np.ceil(xy.max(axis=2) - 0.5) + 1))
+    box = np.minimum(np.maximum(box, 0), [[w], [h], [w], [h]]).astype(np.int64)
+    _scanline_inside(xy, np.arange(h) + 0.5, np.arange(w) + 0.5, box[:2], box[2:], mask)
+    return mask
 
 
 def rasterize(shape, h: int, w: int) -> np.ndarray:
@@ -194,14 +258,7 @@ def rasterize(shape, h: int, w: int) -> np.ndarray:
 
     Returns a bool (h, w) mask.
     """
-    if h <= 0 or w <= 0:
-        raise ValueError(f"frame must be positive, got {h}x{w}")
-    mask = np.zeros((h, w), dtype=bool)
-    window = _raster_window(_vertices_of(shape), h, w)
-    if window is not None:
-        rows, cols, block = window
-        mask[rows, cols] = block
-    return mask
+    return rasterize_union(_vertices_of(shape)[None], h, w)
 
 
 def _raster_iou(a: np.ndarray, b: np.ndarray, scale: int = 4) -> float:

@@ -3,6 +3,13 @@ centers by farthest point sampling down to a coverage radius, accumulate the
 fixed-width rotated rectangles of every component into one frame mask, close
 its gaps morphologically once, and trace its contours.
 
+Neither hot step rescans what it does not change. After each pick, farthest
+point sampling updates only the candidates within the pick's distance along
+the component's longer axis, a window found by bisection; no candidate
+outside it can come nearer, so the picks are those of a full rescan. The
+rectangles are rasterized in one batched scanline pass, each in its pixel
+bounding box.
+
 Candidate filtering is overlap-free by construction: farthest point
 sampling never compares rectangles pairwise. A module-level counter
 instruments every rotated-rectangle overlap computation so the contrast
@@ -11,13 +18,14 @@ with the greedy-NMS baseline is measurable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (RotatedRect, TextPolygon, _clip_ccw, _raster_window, normalize_angle,
-                       rect_corners)
+from .geometry import (RotatedRect, TextPolygon, _clip_ccw, normalize_angle, rasterize_union,
+                       rect_corners, rects_corners)
 from .maps import GeometryMaps
 
 MIN_RECT_HEIGHT = 1e-3
@@ -148,26 +156,38 @@ def extract_centers(center_map, thresh: float) -> list[CenterPointSet]:
 
 
 def farthest_point_sample_indices(points, budget: int, stop_dist: float = 0.0) -> list[int]:
-    """Indices into `points` chosen by greedy farthest point sampling."""
+    """Indices into `points` chosen by greedy farthest point sampling; see
+    `farthest_point_sample`."""
     flat = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = flat.shape[0]
     if n == 0:
         raise ValueError("cannot sample from an empty point set")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if not np.isfinite(flat).all():
+        raise ValueError("cannot sample from non-finite points")
     centroid = flat.mean(axis=0)
     seed = int(np.argmin(((flat - centroid) ** 2).sum(axis=1)))
     chosen = [seed]
     min_d2 = ((flat - flat[seed]) ** 2).sum(axis=1)
     stop2 = float(stop_dist) * float(stop_dist)
+    # Candidates sorted along the longer bounding-box axis, for the window.
+    axis = int(np.ptp(flat[:, 1]) > np.ptp(flat[:, 0]))
+    order = np.argsort(flat[:, axis], kind="stable")
+    by_key = flat[order]
+    key = by_key[:, axis].tolist()
     while len(chosen) < budget:
         nxt = int(np.argmax(min_d2))
         best = min_d2[nxt]
         if best <= 0.0 or best < stop2:
             break
         chosen.append(nxt)
-        d2 = ((flat - flat[nxt]) ** 2).sum(axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
+        at = flat[nxt, axis]
+        reach = math.sqrt(best) * (1.0 + 1e-9) + abs(at) * 1e-9
+        lo, hi = bisect.bisect_left(key, at - reach), bisect.bisect_right(key, at + reach)
+        near = order[lo:hi]
+        d2 = ((by_key[lo:hi] - flat[nxt]) ** 2).sum(axis=1)
+        min_d2[near] = np.minimum(min_d2[near], d2)
     return chosen
 
 
@@ -177,7 +197,19 @@ def farthest_point_sample(points, budget: int, stop_dist: float = 0.0) -> np.nda
     Seeds with the point nearest the centroid, then repeatedly adds the
     point farthest from the selected set, breaking ties toward the lowest
     index. Stops early once the best max-min distance drops below
-    stop_dist, or when only duplicates of selected points remain.
+    stop_dist, or when only duplicates of selected points remain. Points
+    must be finite.
+
+    Adding a sample at max-min squared distance `best` can lower only the
+    min-distances of points within sqrt(best) of it: any other point's
+    min-distance is at most `best` already, below its distance to the new
+    sample. So each update scans only the points whose coordinate along
+    the set's longer bounding-box axis lies within sqrt(best) of the
+    sample's, found by bisection in a once-sorted order. The window is
+    widened by a relative 1e-9 of the reach and of the coordinate, far
+    above float rounding, so rounding can only add points to it; a point
+    it adds is updated with the full scan's expression, so the min-distances,
+    and the selection, are bit-identical to updating every point.
     """
     pts = np.asarray(points).reshape(-1, 2)
     return pts[farthest_point_sample_indices(pts, budget, stop_dist)]
@@ -190,16 +222,15 @@ def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[Ro
     only such pixels. Height is clamped to a small positive floor so
     degenerate regressions stay representable; width is fixed by the config.
     """
-    h_map, w_max = maps.shape
-    rects = []
-    for px, py in np.asarray(centers).reshape(-1, 2):
-        ix, iy = int(px), int(py)
-        if not (0 <= iy < h_map and 0 <= ix < w_max):
-            raise ValueError(f"center ({px}, {py}) outside the {maps.shape} map frame")
-        cx, cy, h, theta = (float(m[iy, ix]) for m in (maps.x, maps.y, maps.h, maps.theta))
-        rects.append(RotatedRect(cx=cx, cy=cy, h=max(h, MIN_RECT_HEIGHT), w=cfg.rect_width,
-                                 theta=normalize_angle(theta)))
-    return rects
+    pts = np.asarray(centers).reshape(-1, 2)
+    ix, iy = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
+    outside = (iy < 0) | (iy >= maps.shape[0]) | (ix < 0) | (ix >= maps.shape[1])
+    if outside.any():
+        px, py = pts[np.argmax(outside)]
+        raise ValueError(f"center ({px}, {py}) outside the {maps.shape} map frame")
+    values = zip(*(m[iy, ix].tolist() for m in (maps.x, maps.y, maps.h, maps.theta)))
+    return [RotatedRect(cx=cx, cy=cy, h=max(h, MIN_RECT_HEIGHT), w=cfg.rect_width,
+                        theta=normalize_angle(theta)) for cx, cy, h, theta in values]
 
 
 def _row_window(m: np.ndarray, kernel: int, reduce) -> np.ndarray:
@@ -249,18 +280,13 @@ def close_binary(mask, kernel: int) -> np.ndarray:
 def accumulate_and_close(rects, frame: tuple[int, int], cfg: ShapingConfig) -> np.ndarray:
     """Union of rasterized rectangles, then a closing to bridge small gaps.
 
-    Each rectangle is written into its pixel bounding box only.
+    All rectangles are rasterized in one batch, each in its pixel bounding
+    box only.
     """
     h, w = frame
     if h <= 0 or w <= 0:
         raise ValueError(f"frame must be positive, got {frame}")
-    mask = np.zeros((h, w), dtype=bool)
-    for rect in rects:
-        window = _raster_window(rect_corners(rect), h, w)
-        if window is not None:
-            rows, cols, block = window
-            mask[rows, cols] |= block
-    return close_binary(mask, cfg.close_kernel)
+    return close_binary(rasterize_union(rects_corners(rects), h, w), cfg.close_kernel)
 
 
 # Crack-boundary walk directions: R, D, L, U as (dx, dy) with y pointing down.
@@ -400,6 +426,7 @@ def shape_text(maps: GeometryMaps, cfg: ShapingConfig | None = None) -> list[Tex
             continue
         selected = farthest_point_sample(cands, FPS_CAP, cfg.coverage_radius)
         rects.extend(build_components(selected, maps, cfg))
+    del usable  # frame-sized: not held through the frame-sized stages below
     if not rects:
         return []
     return trace_contours(accumulate_and_close(rects, maps.shape, cfg), cfg.min_area)

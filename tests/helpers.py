@@ -62,6 +62,34 @@ def scanline_rows_oracle(pts, ys, xs):
     return inside
 
 
+def scanline_windows_oracle(xy, ys, xs, start, stop, out):
+    """Drop-in for geometry._scanline_inside: OR into `out` each polygon's
+    per-row oracle containment on its own window of the grid."""
+    for i in range(xy.shape[1]):
+        (c0, r0), (c1, r1) = start[:, i], stop[:, i]
+        out[r0:r1, c0:c1] |= scanline_rows_oracle(xy[:, i].T, ys[r0:r1], xs[c0:c1])
+
+
+def fps_full_scan_oracle(points, budget, stop_dist=0.0):
+    """Farthest point sampling that updates every point's min-distance after
+    each pick, with the same arithmetic as the windowed library version."""
+    flat = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    centroid = flat.mean(axis=0)
+    seed = int(np.argmin(((flat - centroid) ** 2).sum(axis=1)))
+    chosen = [seed]
+    min_d2 = ((flat - flat[seed]) ** 2).sum(axis=1)
+    stop2 = float(stop_dist) * float(stop_dist)
+    while len(chosen) < budget:
+        nxt = int(np.argmax(min_d2))
+        best = min_d2[nxt]
+        if best <= 0.0 or best < stop2:
+            break
+        chosen.append(nxt)
+        d2 = ((flat - flat[nxt]) ** 2).sum(axis=1)
+        np.minimum(min_d2, d2, out=min_d2)
+    return chosen
+
+
 def label8_bfs_oracle(mask):
     """8-connected labeling by flood fill from each unlabeled pixel in scan
     order. Returns (label grid with -1 background, per-label (n, 2) int64 x,y

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (convex_hull, convex_intersection_area_oracle, exact_iou_oracle,
-                     rasterize_oracle, scanline_rows_oracle)
+                     rasterize_oracle, scanline_rows_oracle, scanline_windows_oracle)
 from textshaper import geometry
 from textshaper.geometry import (RotatedRect, TextPolygon, clip_convex, is_convex,
                                  normalize_angle, polygon_area, polygon_iou, rasterize,
-                                 rect_corners)
+                                 rasterize_union, rect_corners, rects_corners)
 
 
 def random_convex(rng, n=6, radius=10.0, center=(0.0, 0.0)):
@@ -137,6 +137,15 @@ def random_scan_polygon(rng, i):
     return rng.uniform(-3, 36, size=(n, 2))
 
 
+def scan(pts, ys, xs):
+    """geometry._scanline_inside of one polygon on the whole grid ys x xs."""
+    out = np.zeros((ys.size, xs.size), dtype=bool)
+    xy = np.asarray(pts, dtype=np.float64).T[:, None, :].copy()
+    geometry._scanline_inside(xy, ys, xs, np.array([[0], [0]]), np.array([[xs.size], [ys.size]]),
+                              out)
+    return out
+
+
 class TestScanline:
     """The vectorised scanline equals the per-row oracle bit for bit."""
 
@@ -147,15 +156,14 @@ class TestScanline:
         xs = np.arange(-2, 34) + 0.5
         for i in range(60):
             pts = random_scan_polygon(rng, i)
-            np.testing.assert_array_equal(geometry._scanline_inside(pts, ys, xs),
-                                          scanline_rows_oracle(pts, ys, xs))
+            np.testing.assert_array_equal(scan(pts, ys, xs), scanline_rows_oracle(pts, ys, xs))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rasterize_matches_per_row_oracle(self, seed, monkeypatch):
         rng = np.random.default_rng(100 + seed)
         shapes = [random_scan_polygon(rng, i) for i in range(60)]
         fast = [rasterize(p, 24, 32) for p in shapes]
-        monkeypatch.setattr(geometry, "_scanline_inside", scanline_rows_oracle)
+        monkeypatch.setattr(geometry, "_scanline_inside", scanline_windows_oracle)
         for p, got in zip(shapes, fast):
             np.testing.assert_array_equal(got, rasterize(p, 24, 32))
 
@@ -167,7 +175,7 @@ class TestScanline:
             a = random_scan_polygon(rng, 2 + i % 2)
             pairs.append((a, a + rng.uniform(-2, 2, size=a.shape)))
         fast = [geometry._raster_iou(a, b) for a, b in pairs]
-        monkeypatch.setattr(geometry, "_scanline_inside", scanline_rows_oracle)
+        monkeypatch.setattr(geometry, "_scanline_inside", scanline_windows_oracle)
         assert fast == [geometry._raster_iou(a, b) for a, b in pairs]
 
     @pytest.mark.parametrize("teeth", [127, 128, 300])
@@ -178,13 +186,55 @@ class TestScanline:
         ys_zig = np.where(np.arange(2 * teeth) % 2, 9.0, 1.0)
         pts = np.vstack([np.column_stack([xs_zig, ys_zig]), [[30.0, 9.0], [30.0, 0.0]]])
         ys, xs = np.arange(12) + 0.5, np.arange(34) + 0.5
-        np.testing.assert_array_equal(geometry._scanline_inside(pts, ys, xs),
-                                      scanline_rows_oracle(pts, ys, xs))
+        np.testing.assert_array_equal(scan(pts, ys, xs), scanline_rows_oracle(pts, ys, xs))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_matches_per_rect_oracle(self, seed):
+        # Rects partly or fully off the 24 x 32 frame, flat ones, axis-aligned
+        # ones with edges on half-integers (on sample rows and columns), and
+        # rects at theta pi/2 and 0, rasterized in one batch.
+        rng = np.random.default_rng(300 + seed)
+        rects = []
+        for i in range(80):
+            theta = [math.pi / 2, 0.0, float(rng.uniform(-1.57, 1.57))][i % 3]
+            h = 1e-3 if i % 7 == 0 else float(rng.integers(1, 24)) if i % 5 == 0 else float(
+                rng.uniform(0.2, 30))
+            w = float(rng.integers(1, 9)) if i % 5 == 0 else float(rng.uniform(0.2, 8))
+            cx = float(rng.integers(-12, 45)) + (0.5 * (h % 2 == 0) if i % 5 == 0 else
+                                                 float(rng.uniform(0, 1)))
+            cy = float(rng.integers(-12, 37)) + float(rng.uniform(0, 1))
+            rects.append(RotatedRect(cx=cx, cy=cy, h=h, w=w, theta=theta))
+        ys, xs = np.arange(24) + 0.5, np.arange(32) + 0.5
+        expected = np.zeros((24, 32), dtype=bool)
+        for corners in rects_corners(rects):
+            expected |= scanline_rows_oracle(corners, ys, xs)
+        np.testing.assert_array_equal(rasterize_union(rects_corners(rects), 24, 32), expected)
+        assert expected.any() and not expected.all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_union_of_quadrilaterals_matches_per_polygon_oracle(self, seed):
+        # Axis-aligned boxes with zero extents, rotated rects and
+        # self-intersecting quadrilaterals in one batch.
+        rng = np.random.default_rng(400 + seed)
+        polys = np.array([random_scan_polygon(rng, i % 2) if i % 3 < 2 else
+                          rng.uniform(-3, 36, size=(4, 2)) for i in range(45)])
+        ys, xs = np.arange(24) + 0.5, np.arange(32) + 0.5
+        expected = np.zeros((24, 32), dtype=bool)
+        for p in polys:
+            expected |= scanline_rows_oracle(p, ys, xs)
+        np.testing.assert_array_equal(rasterize_union(polys, 24, 32), expected)
+
+    def test_union_of_none_is_empty(self):
+        assert not rasterize_union(np.empty((0, 4, 2)), 5, 7).any()
+
+    def test_non_finite_vertices_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            rasterize(np.array([[0.0, 0.0], [4.0, np.nan], [4.0, 4.0]]), 8, 8)
 
     def test_no_crossing_rows_or_columns(self):
         pts = np.array([[2.0, 2.0], [6.0, 2.0], [6.0, 6.0], [2.0, 6.0]])
-        assert not geometry._scanline_inside(pts, np.array([0.5, 7.5]), np.arange(8) + 0.5).any()
-        assert geometry._scanline_inside(pts, np.arange(8) + 0.5, np.empty(0)).shape == (8, 0)
+        assert not scan(pts, np.array([0.5, 7.5]), np.arange(8) + 0.5).any()
+        assert scan(pts, np.arange(8) + 0.5, np.empty(0)).shape == (8, 0)
 
 
 class TestPolygonIou:

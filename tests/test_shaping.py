@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (convex_intersection_area_oracle, label8_bfs_oracle, signed_area_oracle,
-                     square_window_oracle)
+from helpers import (convex_intersection_area_oracle, fps_full_scan_oracle, label8_bfs_oracle,
+                     signed_area_oracle, square_window_oracle)
 from textshaper import shaping
 from textshaper.dataio import SynthBand, SynthSpec, synth_maps
 from textshaper.geometry import RotatedRect, polygon_iou, rasterize, rect_corners
@@ -261,8 +261,10 @@ class TestFarthestPointSample:
         if len(idx) < k:
             return
 
+        dist = [[math.dist(p, q) for q in pts] for p in pts]
+
         def covering_radius(centers):
-            return max(min(math.dist(p, pts[c]) for c in centers) for p in pts)
+            return max(min(row[c] for c in centers) for row in dist)
 
         fps_radius = covering_radius(idx)
         optimal = min(covering_radius(sub) for sub in itertools.combinations(range(n), k))
@@ -271,6 +273,14 @@ class TestFarthestPointSample:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             farthest_point_sample(np.empty((0, 2)), budget=3)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, column, value):
+        pts = np.array([[0.0, 0.0], [3.0, 1.0], [5.0, 5.0]])
+        pts[1, column] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            farthest_point_sample_indices(pts, budget=5)
 
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                     min_size=1, max_size=50),
@@ -283,6 +293,62 @@ class TestFarthestPointSample:
         assert len(set(idx)) == len(idx)
         assert all(0 <= i < len(pts) for i in idx)
         assert idx == farthest_point_sample_indices(pts, budget, stop_dist)
+
+
+def fps_point_sets():
+    """Named point sets on which the windowed sampler must reproduce the
+    full scan: 600 x 8 px bands in three orientations, float clouds from
+    0.1 to 100 px across, duplicates, and exact distance ties."""
+    rng = np.random.default_rng(7)
+    gx, gy = np.meshgrid(np.arange(600), np.arange(8))
+    band = np.column_stack([gx.ravel(), gy.ravel()])
+    diag = np.column_stack([band[:, 0] + band[:, 1], band[:, 0] - band[:, 1] + 1000])
+    sets = {"horizontal": band, "vertical": band[:, ::-1].copy(), "diagonal": diag}
+    for scale in (0.1, 1.0, 10.0, 100.0):
+        sets[f"cloud{scale}"] = rng.uniform(0, scale, size=(400, 2))
+        sets[f"offset_cloud{scale}"] = 1e4 + rng.normal(0, scale, size=(300, 2))
+    base = rng.integers(0, 30, size=(40, 2)).astype(float)
+    sets["duplicates"] = np.vstack([base, base, base[:10]])
+    ring = np.array([[math.cos(a), math.sin(a)] for a in np.arange(12) * math.pi / 6])
+    sets["ring_ties"] = np.vstack([[0.0, 0.0], 20.0 * np.round(ring, 12)])
+    sets["lattice_ties"] = np.column_stack([np.arange(30) % 6, np.arange(30) // 6]) * 3.0
+    return sets
+
+
+class TestWindowedFps:
+    """The windowed sampler picks the full scan's indices, in order."""
+
+    @pytest.mark.parametrize("stop", [0.0, 1.5, 4.5])
+    @pytest.mark.parametrize("name", sorted(fps_point_sets()))
+    def test_matches_full_scan(self, name, stop):
+        pts = fps_point_sets()[name]
+        budget = 300 if stop == 0.0 else FPS_CAP
+        got = farthest_point_sample_indices(pts, budget, stop)
+        assert got == fps_full_scan_oracle(pts, budget, stop)
+
+    def test_point_just_inside_the_window_is_updated(self):
+        # Five copies of O pull the seed onto it; A is then farthest. P lies
+        # 10 - 1e-6 from A along x, the sort axis, so just inside the window
+        # of reach sqrt(100), and nearer to A than to O. Its min-distance
+        # must drop below Q's, or P is picked third instead of Q.
+        o = [5.0, 5.0 * math.sqrt(3.0)]
+        q = [5.0 - math.sqrt(100.0 - 1.5e-5), o[1]]
+        pts = np.array([o] * 5 + [[0.0, 0.0], [10.0 - 1e-6, 0.0], q])
+        assert farthest_point_sample_indices(pts, 3) == [0, 5, 7]
+        assert fps_full_scan_oracle(pts, 3) == [0, 5, 7]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sets_match_full_scan(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(1, 400))
+        spread = rng.uniform(0.1, 100, size=2)
+        pts = rng.uniform(-1, 1, size=(n, 2)) * spread + rng.uniform(-1e3, 1e3, size=2)
+        if seed % 2:
+            pts = np.round(pts)
+        stop = float(rng.choice([0.0, 1.5, 4.5]))
+        budget = int(rng.integers(1, 200))
+        assert farthest_point_sample_indices(pts, budget, stop) == fps_full_scan_oracle(
+            pts, budget, stop)
 
 
 class TestBuildComponents:
