@@ -15,6 +15,7 @@ dims, then the row-major float64 payload.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -110,19 +111,38 @@ def write_annotations(path, polygons, ignore=None) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, source: str):
-        self.data = data
+    """Sequential reads from an open file of known size, with structured
+    truncation errors."""
+
+    def __init__(self, fh, source: str):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
         self.source = source
 
-    def take(self, n: int, what: str) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
+    def _claim(self, n: int, what: str) -> None:
+        if n < 0 or self.pos + n > self.size:
             raise MapFileError(
                 f"{self.source}: truncated while reading {what} "
-                f"(need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos})")
-        chunk = self.data[self.pos:self.pos + n]
+                f"(need {n} bytes at offset {self.pos}, have {self.size - self.pos})")
         self.pos += n
+
+    def take(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
+        chunk = self.fh.read(n)
+        if len(chunk) != n:
+            raise MapFileError(f"{self.source}: file changed while reading {what}")
         return chunk
+
+    def take_f8(self, dims: tuple[int, ...], what: str) -> np.ndarray:
+        """Read a little-endian float64 array of shape dims straight into
+        its buffer, once the file is known to hold it."""
+        n = 8 * math.prod(dims)
+        self._claim(n, what)
+        arr = np.empty(dims, dtype="<f8")
+        if self.fh.readinto(arr) != n:
+            raise MapFileError(f"{self.source}: file changed while reading {what}")
+        return arr
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -135,46 +155,46 @@ class _Reader:
 
 
 def read_map(path) -> dict[str, np.ndarray]:
-    """Read a TMAP container into an ordered name -> float64 array dict."""
+    """Read a TMAP container into an ordered name -> float64 array dict.
+
+    Each payload is read straight into its array, after its declared size
+    is checked against the bytes left in the file.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data, str(path))
-    if r.take(4, "magic") != MAP_MAGIC:
-        raise MapFileError(f"{path}: bad magic, not a map file")
-    version = r.u16("version")
-    if version != MAP_VERSION:
-        raise MapFileError(f"{path}: unsupported version {version}")
-    count = r.u16("section count")
-    out: dict[str, np.ndarray] = {}
-    for i in range(count):
-        name_len = r.u16(f"section {i} name length")
-        raw = r.take(name_len, f"section {i} name")
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise MapFileError(f"{path}: section {i} name is not valid UTF-8") from None
-        if name in out:
-            raise MapFileError(f"{path}: duplicate section name {name!r}")
-        rank = r.u8(f"section {name!r} rank")
-        if not 1 <= rank <= MAX_RANK:
-            raise MapFileError(f"{path}: section {name!r} rank {rank} outside 1..{MAX_RANK}")
-        dims = tuple(r.u32(f"section {name!r} dim {d}") for d in range(rank))
-        if any(d == 0 for d in dims):
-            raise MapFileError(f"{path}: section {name!r} has a zero dimension {dims}")
-        n = 1
-        for d in dims:
-            n *= d
-        if n > MAX_ELEMENTS:
-            raise MapFileError(
-                f"{path}: section {name!r} dims {dims} overflow the element limit")
-        payload = r.take(8 * n, f"section {name!r} payload")
-        arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise MapFileError(f"{path}: section {name!r} contains non-finite values")
-        out[name] = arr
-    if r.pos != len(data):
-        raise MapFileError(f"{path}: {len(data) - r.pos} trailing bytes after last section")
-    return out
+        r = _Reader(fh, str(path))
+        if r.take(4, "magic") != MAP_MAGIC:
+            raise MapFileError(f"{path}: bad magic, not a map file")
+        version = r.u16("version")
+        if version != MAP_VERSION:
+            raise MapFileError(f"{path}: unsupported version {version}")
+        count = r.u16("section count")
+        out: dict[str, np.ndarray] = {}
+        for i in range(count):
+            name_len = r.u16(f"section {i} name length")
+            raw = r.take(name_len, f"section {i} name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise MapFileError(f"{path}: section {i} name is not valid UTF-8") from None
+            if name in out:
+                raise MapFileError(f"{path}: duplicate section name {name!r}")
+            rank = r.u8(f"section {name!r} rank")
+            if not 1 <= rank <= MAX_RANK:
+                raise MapFileError(
+                    f"{path}: section {name!r} rank {rank} outside 1..{MAX_RANK}")
+            dims = tuple(r.u32(f"section {name!r} dim {d}") for d in range(rank))
+            if any(d == 0 for d in dims):
+                raise MapFileError(f"{path}: section {name!r} has a zero dimension {dims}")
+            if math.prod(dims) > MAX_ELEMENTS:
+                raise MapFileError(
+                    f"{path}: section {name!r} dims {dims} overflow the element limit")
+            arr = r.take_f8(dims, f"section {name!r} payload")
+            if not np.all(np.isfinite(arr)):
+                raise MapFileError(f"{path}: section {name!r} contains non-finite values")
+            out[name] = arr.astype(np.float64, copy=False)
+        if r.pos != r.size:
+            raise MapFileError(f"{path}: {r.size - r.pos} trailing bytes after last section")
+        return out
 
 
 def write_map(path, grids) -> None:

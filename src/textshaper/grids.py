@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Byte budget of one block of conv2d's column buffer and of one chunk of
+# gated attention's score matrix. Read at call time.
+CHUNK_BYTES = 64 << 20
+
 
 class ShapeMismatchError(ValueError):
     """An operand dimension does not match its contract."""
@@ -25,14 +29,22 @@ def as_grid(values, ndim=None) -> np.ndarray:
 def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
     """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw), zero padding.
 
-    padding may be a single int or a (ph, pw) pair. Output spatial size is
-    (H + 2*ph - kh)//stride + 1 per axis.
+    stride is an int >= 1; padding is a non-negative int or a (ph, pw)
+    pair. Output spatial size is (H + 2*ph - kh)//stride + 1 per axis.
 
-    Evaluated as im2col plus one GEMM: each kernel tap (i, j) copies its
-    strided window of the padded input into a (B, Cin, kh, kw, Ho, Wo)
-    buffer, which a single matmul with the (Cout, Cin*kh*kw) kernel
-    contracts.
+    Evaluated as im2col plus GEMM, in blocks of output rows: for each
+    block, each kernel tap (i, j) copies its strided window of the padded
+    input into a (B, Cin, kh, kw, rows, Wo) column buffer, which one matmul
+    with the (Cout, Cin*kh*kw) kernel contracts into the block's rows of
+    the output. A block holds as many rows as fit in CHUNK_BYTES (at least
+    one), and every block reuses the same buffer.
     """
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an int >= 1, got {stride!r}")
+    pads = (padding, padding) if np.ndim(padding) == 0 else tuple(padding)
+    if len(pads) != 2 or any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0
+                             for p in pads):
+        raise ValueError(f"padding must be an int >= 0 or a pair of them, got {padding!r}")
     x = as_grid(x, 4)
     k = as_grid(kernel, 4)
     cout, cin, kh, kw = k.shape
@@ -41,9 +53,7 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
     if x.shape[1] != cin:
         raise ShapeMismatchError(
             f"input channel dimension {x.shape[1]} does not match kernel input channels {cin}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    ph, pw = pads
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     if xp.shape[2] < kh or xp.shape[3] < kw:
         raise ShapeMismatchError(
@@ -51,17 +61,27 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
     bsz = x.shape[0]
     ho = (xp.shape[2] - kh) // stride + 1
     wo = (xp.shape[3] - kw) // stride + 1
-    cols = np.empty((bsz, cin, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    out = np.matmul(k.reshape(cout, -1), cols.reshape(bsz, -1, ho * wo))
-    out = out.reshape(bsz, cout, ho, wo)
     if bias is not None:
         b = as_grid(bias, 1)
         if b.shape != (cout,):
             raise ShapeMismatchError(
                 f"bias length {b.shape[0]} does not match output channels {cout}")
+    taps = cin * kh * kw
+    rows = min(ho, max(1, CHUNK_BYTES // max(1, 8 * bsz * taps * wo)))
+    buf = np.empty(bsz * taps * rows * wo)
+    kmat = k.reshape(cout, taps)
+    out = np.empty((bsz, cout, ho, wo))
+    out_flat = out.reshape(bsz, cout, ho * wo)
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        n = (r1 - r0) * wo
+        cols = buf[:bsz * taps * n].reshape(bsz, cin, kh, kw, r1 - r0, wo)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[:, :, i + stride * r0:i + stride * r1:stride,
+                                      j:j + stride * wo:stride]
+        np.matmul(kmat, cols.reshape(bsz, taps, n), out=out_flat[:, :, r0 * wo:r1 * wo])
+    if bias is not None:
         out += b[None, :, None, None]
     return out
 
@@ -95,9 +115,15 @@ def bilinear_sample(x, points) -> np.ndarray:
 
 def row_softmax(x) -> np.ndarray:
     """Softmax over the last axis of an (N,M) grid, max-subtracted for stability."""
-    x = as_grid(x, 2)
-    z = np.exp(x - x.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    return row_softmax_inplace(as_grid(x, 2).copy())
+
+
+def row_softmax_inplace(s: np.ndarray) -> np.ndarray:
+    """row_softmax computed in the (N,M) float64 array s itself; returns s."""
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
 
 
 def resize_bilinear(x, out_h, out_w) -> np.ndarray:
@@ -131,14 +157,20 @@ def upsample2x(x) -> np.ndarray:
 
 
 def logistic(x) -> np.ndarray:
-    """Numerically stable elementwise logistic sigmoid."""
+    """Numerically stable elementwise logistic sigmoid.
+
+    With e = exp(-|x|), it is 1/(1+e) where x >= 0 and e/(1+e) elsewhere,
+    so exp never overflows. -|x| is taken as min(x, -x), which keeps the
+    sign of a NaN input.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def relu(x) -> np.ndarray:

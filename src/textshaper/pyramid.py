@@ -8,6 +8,12 @@ parallel, and the concatenated branch outputs are re-weighted by a gated
 self-attention over per-pixel tokens before a 1x1 projection back to the
 level width. The finest level feeds a head emitting text/center score maps
 (logistic squashed) and the five rotated-rectangle regression channels.
+
+Beyond the feature maps themselves, the working set does not grow with
+the input: the convolutions' im2col blocks and the attention's score
+chunks are each sized to grids.CHUNK_BYTES and reuse one buffer, and the
+branch outputs are written straight into the token grid instead of being
+concatenated.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ShapeMismatchError, as_grid, conv2d, logistic, relu, row_softmax, upsample2x
+from . import grids
+from .grids import (ShapeMismatchError, as_grid, conv2d, logistic, relu, row_softmax_inplace,
+                    upsample2x)
 from .maps import CHANNELS, GeometryMaps
 from .snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
 
-ATTENTION_CHUNK = 2048
 INIT_SCALE = 0.05
 
 
@@ -126,21 +133,33 @@ def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
     """Self-attention over (n, d) token rows: softmax(g(Q) g(K)^T / sqrt(d_k)) V.
 
     The gate g is the logistic function, the raw tokens serve as values and
-    d_k is the key dimension. Query rows go in chunks of ATTENTION_CHUNK, so
-    the n x n attention matrix is never held whole.
+    d_k is the key dimension. Query rows go in chunks whose (rows, n) score
+    block fits in grids.CHUNK_BYTES (at least one row), so the n x n
+    attention matrix is never held whole. Every chunk reuses one score
+    buffer, softmaxes it in place and multiplies it into its rows of the
+    output.
     """
     v = as_grid(tokens, 2)
     if v.shape[1] != params.w_q.shape[1]:
         raise ShapeMismatchError(
             f"token dimension {v.shape[1]} does not match attention weights {params.w_q.shape}")
-    q = logistic(v @ params.w_q.T + params.b_q)
-    k = logistic(v @ params.w_k.T + params.b_k)
+    q = v @ params.w_q.T
+    q += params.b_q
+    q = logistic(q)
+    k = v @ params.w_k.T
+    k += params.b_k
+    k = logistic(k)
     scale = 1.0 / math.sqrt(params.w_k.shape[0])
     n = v.shape[0]
     out = np.empty_like(v)
-    for lo in range(0, n, ATTENTION_CHUNK):
-        hi = min(lo + ATTENTION_CHUNK, n)
-        out[lo:hi] = row_softmax(q[lo:hi] @ k.T * scale) @ v
+    rows = max(1, grids.CHUNK_BYTES // max(1, 8 * n))
+    buf = np.empty((min(rows, n), n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        s = np.matmul(q[lo:hi], k.T, out=buf[:hi - lo])
+        s *= scale
+        row_softmax_inplace(s)
+        np.matmul(s, v, out=out[lo:hi])
     return out
 
 
@@ -148,7 +167,9 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     """One fusion block: concat, parallel conv/snake branches, gated attention.
 
     c_i and f_prev must already share (B, C, H, W); returns features of the
-    same shape.
+    same shape. The branch outputs are written side by side into one
+    (B, 2C, H, W) token grid, the concatenated input is dropped before
+    attention runs, and each item's attention output overwrites its tokens.
     """
     c_i = as_grid(c_i, 4)
     f_prev = as_grid(f_prev, 4)
@@ -156,15 +177,20 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
         raise ShapeMismatchError(
             f"lateral branch shape {c_i.shape} != top-down branch shape {f_prev.shape}")
     x = np.concatenate([c_i, f_prev], axis=1)
-    v_conv = conv2d(x, params.conv_w, params.conv_b, padding=1)
-    v_snake = dsc_forward(x, params.snake_h) + dsc_forward(x, params.snake_v)
-    v = np.concatenate([v_conv, v_snake], axis=1)
-    b, d, h, w = v.shape
-    fused = np.empty_like(v)
+    b, _, h, w = x.shape
+    c = params.conv_w.shape[0]
+    v = np.empty((b, c + params.snake_h.cout, h, w))
+    v[:, :c] = conv2d(x, params.conv_w, params.conv_b, padding=1)
+    v[:, c:] = dsc_forward(x, params.snake_h)
+    v[:, c:] += dsc_forward(x, params.snake_v)
+    del x
+    d = v.shape[1]
     for i in range(b):
+        # gated_attention returns a new array, so its result can replace
+        # the tokens it was computed from.
         tokens = v[i].reshape(d, h * w).T
-        fused[i] = gated_attention(tokens, params.attention).T.reshape(d, h, w)
-    return conv2d(fused, params.proj_w, params.proj_b)
+        v[i] = gated_attention(tokens, params.attention).T.reshape(d, h, w)
+    return conv2d(v, params.proj_w, params.proj_b)
 
 
 def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = None) -> DsfOutput:

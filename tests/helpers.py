@@ -252,3 +252,22 @@ def exact_iou_oracle(a, b):
                 for ta in tris_a for tb in tris_b)
     union = abs(signed_area_oracle(a)) + abs(signed_area_oracle(b)) - inter
     return inter / union if union > 0 else 0.0
+
+
+def logistic_masked_oracle(x):
+    """Logistic sigmoid by boolean masks: 1/(1+exp(-x)) where x >= 0 and
+    exp(x)/(1+exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def row_softmax_oracle(x):
+    """Row softmax with fresh arrays: exp(x - row max) over its row sum."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    z = np.exp(x - x.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)

@@ -125,6 +125,15 @@ class TestMapFile:
         with pytest.raises(MapFileError, match="truncated"):
             read_map(p)
 
+    def test_declared_payload_checked_against_file_size(self, tmp_path):
+        p = tmp_path / "t.tmap"
+        body = struct.pack("<H", 1) + b"x" + struct.pack("<B", 2) + \
+            struct.pack("<II", 4000, 4000) + bytes(16)
+        p.write_bytes(b"TMAP" + struct.pack("<HH", 1, 1) + body)
+        with pytest.raises(MapFileError, match=r"payload \(need 128000000 bytes at offset "
+                                               r"20, have 16\)"):
+            read_map(p)
+
     def test_trailing_bytes(self, tmp_path):
         p = tmp_path / "t.tmap"
         write_map(p, {"x": np.ones(3)})

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+import textshaper.grids as grids
+from helpers import logistic_masked_oracle, row_softmax_oracle
 from textshaper.grids import (ShapeMismatchError, bilinear_sample, conv2d, logistic,
                               resize_bilinear, row_softmax, upsample2x)
 
@@ -99,6 +101,38 @@ class TestConv2d:
         with pytest.raises(ShapeMismatchError, match="bias"):
             conv2d(np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), bias=np.zeros(3))
 
+    @pytest.mark.parametrize("name,value", [
+        ("stride", 0), ("stride", 1.5), ("stride", (1, 1)),
+        ("padding", -1), ("padding", 1.5), ("padding", (1, -1)), ("padding", (1, 2, 3)),
+    ])
+    def test_bad_stride_or_padding_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)), **{name: value})
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, (0, 1)), (2, (1, 0))])
+    def test_row_blocks_match_one_block(self, monkeypatch, stride, padding):
+        rng = np.random.default_rng(stride * 10 + np.sum(padding))
+        x = rng.normal(size=(2, 3, 9, 8))
+        k = rng.normal(size=(7, 3, 3, 3))
+        bias = rng.normal(size=7)
+        whole = conv2d(x, k, bias, stride=stride, padding=padding)
+        calls = []
+        real_matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real_matmul(*args, **kwargs)
+
+        # Two output rows per block: 8 bytes x batch x Cin*kh*kw x Wo x 2.
+        monkeypatch.setattr(grids, "CHUNK_BYTES", 8 * 2 * 27 * whole.shape[3] * 2)
+        monkeypatch.setattr(np, "matmul", spy)
+        blocked = conv2d(x, k, bias, stride=stride, padding=padding)
+        monkeypatch.undo()
+        assert len(calls) == -(-whole.shape[2] // 2) > 1
+        np.testing.assert_allclose(blocked, whole, atol=1e-12)
+        np.testing.assert_allclose(blocked, conv2d_oracle(x, k, bias, stride, padding),
+                                   atol=1e-12)
+
 
 def conv2d_einsum_oracle(x, k, bias, stride, padding):
     """Reference cross-correlation: sliding_window_view windows contracted by einsum."""
@@ -190,6 +224,19 @@ class TestRowSoftmax:
     def test_shift_invariance(self, x, c):
         np.testing.assert_allclose(row_softmax(x), row_softmax(x + c), atol=1e-12)
 
+    def test_in_place_steps_match_fresh_arrays_oracle(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(scale=40.0, size=(6, 33))
+        x[1, 3] = np.inf
+        x[2] = -np.inf
+        x[3, 5] = np.nan
+        x[4, :3] = -0.0
+        before = x.copy()
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(row_softmax(x), row_softmax_oracle(x))
+            assert row_softmax(x[:, ::2]).shape == (6, 17)
+        np.testing.assert_array_equal(x, before)
+
 
 def upsample2x_oracle(x):
     """Per-pixel half-pixel-aligned bilinear formula with edge clamping."""
@@ -244,3 +291,21 @@ def test_logistic_stable_and_correct():
     assert logistic(np.array([-800.0]))[0] == pytest.approx(0.0)
     x = np.linspace(-5, 5, 11)
     np.testing.assert_allclose(logistic(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
+
+
+@pytest.mark.parametrize("x", [
+    np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0, 36.7, -36.7, 1e-300]),
+    np.random.default_rng(9).normal(scale=20.0, size=(4, 5, 6)),
+    np.array(-0.0),
+    np.array(-3.25),
+    0.0,
+    -2.5,
+])
+def test_logistic_matches_masked_oracle(x):
+    before = np.array(x, copy=True)
+    got = logistic(x)
+    want = logistic_masked_oracle(x)
+    assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(np.asarray(x), before)

@@ -73,20 +73,38 @@ class TestGatedAttention:
         # v is invertible, so matching expected_att @ v pins the attention matrix.
         np.testing.assert_allclose(out, expected_att @ v, atol=1e-12)
 
-    def test_chunked_matches_full(self):
+    def test_chunked_matches_full(self, monkeypatch):
+        import textshaper.grids as grids
+        import textshaper.pyramid as pyr
         rng = np.random.default_rng(1)
         v = rng.normal(size=(32, 3))
         params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
                                  b_q=rng.normal(size=3), b_k=rng.normal(size=3))
         full = gated_attention(v, params)
-        import textshaper.pyramid as pyr
-        old = pyr.ATTENTION_CHUNK
-        try:
-            pyr.ATTENTION_CHUNK = 7
-            chunked = gated_attention(v, params)
-        finally:
-            pyr.ATTENTION_CHUNK = old
+        chunks = []
+        real_softmax = pyr.row_softmax_inplace
+
+        def spy(s):
+            chunks.append(s.shape)
+            return real_softmax(s)
+
+        # Seven query rows of 32 scores each per chunk.
+        monkeypatch.setattr(grids, "CHUNK_BYTES", 8 * 32 * 7)
+        monkeypatch.setattr(pyr, "row_softmax_inplace", spy)
+        chunked = gated_attention(v, params)
+        assert chunks == [(7, 32)] * 4 + [(4, 32)]
         np.testing.assert_allclose(chunked, full, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single_token(self, n):
+        rng = np.random.default_rng(2)
+        params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
+                                 b_q=rng.normal(size=3), b_k=rng.normal(size=3))
+        v = rng.normal(size=(n, 3))
+        out = gated_attention(v, params)
+        assert out.shape == (n, 3)
+        # A lone token attends only to itself.
+        np.testing.assert_allclose(out, v, atol=1e-15)
 
 
 class TestModulationBlock:
