@@ -8,36 +8,9 @@ for each setting with default shaping thresholds.
 
 import argparse
 
-import numpy as np
-
-from textshaper.dataio import SynthBand, SynthSpec, synth_maps
+from textshaper.dataio import lowlight_suite, synth_maps
 from textshaper.evaluation import aggregate, match_image
 from textshaper.shaping import shape_text
-
-
-def build_suite(n, noise_sigma, gamma, master_seed=1):
-    rng = np.random.default_rng(master_seed)
-    specs = []
-    for i in range(n):
-        kind = i % 3
-        y_mid = float(rng.uniform(44, 84))
-        height = float(rng.uniform(12, 17))
-        amp = float(rng.uniform(4, 12))
-        period = float(rng.uniform(70, 130))
-        phase = float(rng.uniform(0, 6.28))
-        x0, x1 = 14.0, 210.0
-        if kind == 0:
-            bands = (SynthBand(y_center=y_mid, height=height, x_start=x0, x_end=x1),)
-        elif kind == 1:
-            bands = (SynthBand(y_center=y_mid, height=height, x_start=x0, x_end=x1,
-                               amplitude=amp, period=period, phase=phase),)
-        else:
-            bands = (SynthBand(y_center=40.0, height=height, x_start=x0, x_end=x1,
-                               amplitude=min(amp, 8.0), period=period, phase=phase),
-                     SynthBand(y_center=92.0, height=height, x_start=x0, x_end=x1))
-        specs.append(SynthSpec(frame_h=128, frame_w=224, bands=bands,
-                               noise_sigma=noise_sigma, gamma=gamma))
-    return specs
 
 
 def main():
@@ -53,7 +26,7 @@ def main():
     for gamma in args.gammas:
         for sigma in args.sigmas:
             counts = []
-            for i, spec in enumerate(build_suite(args.instances, sigma, gamma)):
+            for i, spec in enumerate(lowlight_suite(args.instances, sigma, gamma)):
                 maps, gt = synth_maps(spec, seed=100 + i)
                 counts.append((f"img{i}", *match_image(shape_text(maps), gt, args.iou)))
             rep = aggregate(counts)

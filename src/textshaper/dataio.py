@@ -500,3 +500,36 @@ def synth_maps(spec: SynthSpec, seed: int = 0) -> tuple[GeometryMaps, list[TextP
     maps = GeometryMaps(text=channels[0], center=channels[1], x=channels[2], y=channels[3],
                         h=channels[4], w=channels[5], theta=channels[6])
     return maps, gt_polys
+
+
+def lowlight_suite(n: int, noise_sigma: float = 0.0, gamma: float = 1.0,
+                   master_seed: int = 1) -> list[SynthSpec]:
+    """The low-light robustness suite: n 128x224 specs cycling through one
+    straight band, one sinusoidal band (amplitude 4-12) and a sinusoidal
+    band above a straight one, all degraded by the same (gamma,
+    noise_sigma). The bands depend only on master_seed and the index, so
+    every setting sees the same geometry. Callers render spec i with
+    synth_maps seed 100 + i.
+    """
+    rng = np.random.default_rng(master_seed)
+    specs = []
+    for i in range(n):
+        kind = i % 3
+        y_mid = float(rng.uniform(44, 84))
+        height = float(rng.uniform(12, 17))
+        amp = float(rng.uniform(4, 12))
+        period = float(rng.uniform(70, 130))
+        phase = float(rng.uniform(0, 6.28))
+        x0, x1 = 14.0, 210.0
+        if kind == 0:
+            bands = (SynthBand(y_center=y_mid, height=height, x_start=x0, x_end=x1),)
+        elif kind == 1:
+            bands = (SynthBand(y_center=y_mid, height=height, x_start=x0, x_end=x1,
+                               amplitude=amp, period=period, phase=phase),)
+        else:
+            bands = (SynthBand(y_center=40.0, height=height, x_start=x0, x_end=x1,
+                               amplitude=min(amp, 8.0), period=period, phase=phase),
+                     SynthBand(y_center=92.0, height=height, x_start=x0, x_end=x1))
+        specs.append(SynthSpec(frame_h=128, frame_w=224, bands=bands,
+                               noise_sigma=noise_sigma, gamma=gamma))
+    return specs

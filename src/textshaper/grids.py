@@ -157,20 +157,27 @@ def upsample2x(x) -> np.ndarray:
 
 
 def logistic(x) -> np.ndarray:
-    """Numerically stable elementwise logistic sigmoid.
+    """Numerically stable elementwise logistic sigmoid, as a new array.
 
     With e = exp(-|x|), it is 1/(1+e) where x >= 0 and e/(1+e) elsewhere,
     so exp never overflows. -|x| is taken as min(x, -x), which keeps the
     sign of a NaN input.
     """
-    x = np.asarray(x, dtype=np.float64)
+    return _logistic_inplace(np.array(x, dtype=np.float64))
+
+
+def _logistic_inplace(x: np.ndarray) -> np.ndarray:
+    """`logistic` of a float64 array, written into that array and returned.
+    Needs one scratch array of x's size and a boolean one."""
     e = np.negative(x, out=np.empty_like(x))
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    num = np.where(x >= 0, 1.0, e)
+    positive = x >= 0
+    np.copyto(x, e)
+    np.copyto(x, 1.0, where=positive)
     e += 1.0
-    num /= e
-    return num
+    x /= e
+    return x
 
 
 def relu(x) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .grids import (ShapeMismatchError, as_grid, conv2d, logistic, relu, row_softmax_inplace,
-                    upsample2x)
+from .grids import (ShapeMismatchError, _logistic_inplace, as_grid, conv2d, logistic, relu,
+                    row_softmax_inplace, upsample2x)
 from .maps import CHANNELS, GeometryMaps
 from .snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
 
@@ -143,12 +143,14 @@ def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
     if v.shape[1] != params.w_q.shape[1]:
         raise ShapeMismatchError(
             f"token dimension {v.shape[1]} does not match attention weights {params.w_q.shape}")
+    # Each gate is computed in its projection's buffer, so no raw copy or
+    # result array of size (n, d_k) is held beside the gates.
     q = v @ params.w_q.T
     q += params.b_q
-    q = logistic(q)
+    _logistic_inplace(q)
     k = v @ params.w_k.T
     k += params.b_k
-    k = logistic(k)
+    _logistic_inplace(k)
     scale = 1.0 / math.sqrt(params.w_k.shape[0])
     n = v.shape[0]
     out = np.empty_like(v)

@@ -3,12 +3,18 @@ centers by farthest point sampling down to a coverage radius, accumulate the
 fixed-width rotated rectangles of every component into one frame mask, close
 its gaps morphologically once, and trace its contours.
 
-Neither hot step rescans what it does not change. After each pick, farthest
-point sampling updates only the candidates within the pick's distance along
-the component's longer axis, a window found by bisection; no candidate
-outside it can come nearer, so the picks are those of a full rescan. The
-rectangles are rasterized in one batched scanline pass, each in its pixel
-bounding box.
+No step rescans what it does not change, and none walks pixels or vertices
+one at a time in Python. After each pick, farthest point sampling updates
+only the candidates within the pick's distance along the component's
+longer axis, a window found by bisection; no candidate outside it can come
+nearer, so the picks are those of a full rescan. The rectangles are
+rasterized in one batched scanline pass, each in its pixel bounding box.
+The contour step makes three whole-frame passes: a run-based labelling
+that keeps each component's first pixel and size, the linking of every
+boundary pixel edge to its successor with the outer rings of the kept
+components ranked by pointer jumping (`trace_boundary`), and a
+Douglas-Peucker simplification of all rings at once, one split depth at a
+time (`douglas_peucker`).
 
 Candidate filtering is overlap-free by construction: farthest point
 sampling never compares rectangles pairwise. A module-level counter
@@ -87,43 +93,67 @@ class CenterPointSet:
     candidates: np.ndarray
 
 
+def _row_runs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row runs of a 2-d boolean mask, row-major: (row, first column, last column)."""
+    padded = np.pad(m, ((0, 0), (1, 1)))
+    # Each padded row starts and ends empty, so its changes alternate
+    # between a run's first column and the column after its last.
+    row, col = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), m.shape[1] + 1)
+    return row[0::2], col[0::2], col[1::2] - 1
+
+
+def _run_components(m: np.ndarray):
+    """Runs of `m` and the component of each run, 8-connected.
+
+    Run-based (He, Chao and Suzuki, IEEE TIP 2008): the row runs are linked
+    to the runs they touch in the next row and merged by union-find.
+    Components are numbered by their first run, which is first-appearance
+    scan order. Returns (row, start, end, first_runs, run_label).
+    """
+    row, start, end = _row_runs(m)
+    # Row-major keys; a stride of w + 2 keeps columns -1..w inside their row.
+    stride = m.shape[1] + 2
+    start_key = row * stride + start
+    end_key = row * stride + end
+    # Runs of the next row that touch run i: s_j <= e_i + 1 and e_j >= s_i - 1.
+    below = (row + 1) * stride
+    lo = np.searchsorted(end_key, below + start - 1, side="left")
+    hi = np.searchsorted(start_key, below + end + 1, side="right")
+    n = np.maximum(hi - lo, 0)
+    upper = np.repeat(np.arange(row.size), n)
+    lower = np.arange(upper.size) - np.repeat(np.cumsum(n) - n - lo, n)
+    root = _merge_runs(row.size, upper, lower)
+    is_first = root == np.arange(row.size)
+    run_label = (np.cumsum(is_first) - 1)[root]
+    return row, start, end, np.flatnonzero(is_first), run_label
+
+
 def _label8(mask: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """8-connected labeling. Returns (label grid, per-label (n,2) x,y points).
 
     Labels follow first-appearance scan order; each component's points are
-    sorted row-major. Run-based (He, Chao and Suzuki, IEEE TIP 2008): the
-    row runs of the mask are linked to the runs they touch in the next row,
-    merged by union-find, and a component is ranked by its first run.
+    sorted row-major.
     """
     m = np.asarray(mask, dtype=bool)
-    h, w = m.shape
-    labels = np.full((h, w), -1, dtype=np.int32)
-    steps = np.diff(np.pad(m, ((0, 0), (1, 1))).view(np.int8), axis=1)
-    run_row, start = np.nonzero(steps == 1)
-    end = np.nonzero(steps == -1)[1] - 1
-    if run_row.size == 0:
+    labels = np.full(m.shape, -1, dtype=np.int32)
+    row, start, end, first_runs, run_label = _run_components(m)
+    if row.size == 0:
         return labels, []
-    # Row-major keys; a stride of w + 2 keeps columns -1..w inside their row.
-    stride = w + 2
-    start_key = run_row * stride + start
-    end_key = run_row * stride + end
-    # Runs of the next row that touch run i: s_j <= e_i + 1 and e_j >= s_i - 1.
-    below = (run_row + 1) * stride
-    lo = np.searchsorted(end_key, below + start - 1, side="left")
-    hi = np.searchsorted(start_key, below + end + 1, side="right")
-    n = np.maximum(hi - lo, 0)
-    upper = np.repeat(np.arange(run_row.size), n)
-    lower = np.arange(upper.size) - np.repeat(np.cumsum(n) - n - lo, n)
-    root = _merge_runs(run_row.size, upper, lower)
-    first_runs, run_label = np.unique(root, return_inverse=True)
-    length = end - start + 1
-    pixel_label = np.repeat(run_label, length)
+    pixel_label = np.repeat(run_label, end - start + 1)
     labels[m] = pixel_label
-    ys, xs = np.nonzero(m)
+    ys, xs = np.divmod(np.flatnonzero(m), m.shape[1])
     order = np.argsort(pixel_label, kind="stable")
     pts = np.stack([xs, ys], axis=1).astype(np.int64)[order]
     sizes = np.bincount(pixel_label, minlength=first_runs.size)
     return labels, np.split(pts, np.cumsum(sizes)[:-1])
+
+
+def _component_seeds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First pixel (x, y), row-major, and pixel count of each 8-connected
+    component of a boolean mask, in first-appearance scan order."""
+    row, start, end, first_runs, run_label = _run_components(m)
+    sizes = np.bincount(run_label, weights=end - start + 1, minlength=first_runs.size)
+    return np.stack([start[first_runs], row[first_runs]], axis=1), sizes.astype(np.int64)
 
 
 def _merge_runs(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,118 +319,200 @@ def accumulate_and_close(rects, frame: tuple[int, int], cfg: ShapingConfig) -> n
     return close_binary(rasterize_union(rects_corners(rects), h, w), cfg.close_kernel)
 
 
-# Crack-boundary walk directions: R, D, L, U as (dx, dy) with y pointing down.
-_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_LEFT_TURN = (3, 0, 1, 2)
-_RIGHT_TURN = (1, 2, 3, 0)
-# Pixel offsets (dx, dy) from a corner to the pixels right/left of an edge
-# leaving that corner in direction d.
-_RIGHT_PIXEL = ((0, 0), (-1, 0), (-1, -1), (0, -1))
-_LEFT_PIXEL = ((0, -1), (0, 0), (-1, 0), (-1, -1))
+# Left turn of each crack-edge direction: 0 R, 1 D, 2 L, 3 U (y pointing down).
+_LEFT_TURN = np.array([3, 0, 1, 2])
 
 
-def trace_boundary(mask) -> np.ndarray:
-    """Outer boundary of a connected pixel region, walked along pixel edges.
+def _crack_edges(m: np.ndarray) -> np.ndarray:
+    """Sorted keys of the directed boundary crack edges of a boolean mask.
+
+    An edge runs between two lattice corners with its filled pixel on its
+    right (below an R edge). Its key is corner * 4 + direction, where the
+    corner it starts from is y * (w + 1) + x.
+    """
+    w = m.shape[1]
+    stride = w + 1
+    # Changes down the columns give the horizontal edges: R from the
+    # top-left corner of a filled pixel below an empty one, L from the
+    # top-right corner of an empty pixel below a filled one.
+    padded = np.pad(m, ((1, 1), (0, 0)))
+    at = np.flatnonzero(padded[1:] != padded[:-1])
+    left = ~padded.ravel()[at + w]
+    horizontal = (at + at // w + left) * 4 + 2 * left
+    # Each row run gives the vertical ones: U up its left side, from its
+    # bottom-left corner, and D down its right side.
+    row, start, end = _row_runs(m)
+    up = ((row + 1) * stride + start) * 4 + 3
+    down = (row * stride + end + 1) * 4 + 1
+    return np.sort(np.concatenate([horizontal, up, down]))
+
+
+def trace_boundary(mask, starts) -> list[np.ndarray]:
+    """Boundary rings of a pixel mask, walked along pixel edges.
+
+    `starts` holds one (x, y) pixel per ring: a filled pixel whose upper
+    neighbour is empty, at most one per ring. Its ring is walked from the
+    top-left corner of that pixel, rightwards, with the filled pixels on
+    the right and, at each corner, the first boundary edge out of a left
+    turn, straight on or a right turn. The first pixel of an 8-connected
+    component, row-major, starts that component's outer boundary.
 
     Vertices are lattice corners (pixel (i, j) spans [j, j+1] x [i, i+1]),
-    so the traced polygon covers the pixels' full area and re-rasterizes to
-    the region. Emits only direction-change corners, counter-clockwise by
-    the shoelace sign. Preferring left turns keeps diagonally connected
-    pixels on a single contour.
+    so a traced polygon covers its pixels' full area and re-rasterizes to
+    the region. Each ring lists only its direction-change corners, as
+    float64; an outer boundary comes out counter-clockwise by the shoelace
+    sign. Preferring left turns keeps diagonally connected pixels on a
+    single contour.
+
+    Every boundary crack edge of the mask is taken at once. Each edge's
+    successor is found by bisection in the sorted edge keys; only at a
+    saddle corner (two diagonal pixels filled) are there two to choose
+    from, and the left turn is then always one of them. The successors form
+    rings; each traced ring is cut before its start and ranked by pointer
+    jumping, so no step walks the boundary one edge at a time.
     """
     m = np.asarray(mask, dtype=bool)
-    h, w = m.shape
-    ys, xs = np.nonzero(m)
-    if ys.size == 0:
-        return np.empty((0, 2))
+    seeds = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
+    if seeds.shape[0] == 0:
+        return []
+    w = m.shape[1]
+    stride = w + 1
+    keys = _crack_edges(m)
+    start_keys = (seeds[:, 1] * stride + seeds[:, 0]) * 4
+    first = np.searchsorted(keys, start_keys)
+    found = (seeds[:, 0] >= 0) & (seeds[:, 0] < w) & (first < keys.size)
+    found[found] = keys[first[found]] == start_keys[found]
+    if not found.all():
+        x, y = seeds[np.argmin(found)]
+        raise ValueError(f"start ({x}, {y}) is not a filled pixel below an empty one")
 
-    def filled(px, py):
-        return 0 <= py < h and 0 <= px < w and m[py, px]
+    corner, d = keys >> 2, keys & 3
+    # Key of the corner an edge ends at, direction 0; the edges leaving that
+    # corner have the next 4 keys.
+    end = (corner + np.array([1, stride, -1, -stride])[d]) * 4
+    succ = np.searchsorted(keys, end)
+    second = np.minimum(succ + 1, keys.size - 1)
+    saddle = (keys[second] < end + 4) & (succ + 1 < keys.size)
+    succ[saddle & (keys[succ] & 3 != _LEFT_TURN[d])] += 1
+    turn = np.empty(keys.size, dtype=bool)
+    turn[succ] = d[succ] != d
 
-    def valid(cx, cy, d):
-        rx, ry = _RIGHT_PIXEL[d]
-        lx, ly = _LEFT_PIXEL[d]
-        return filled(cx + rx, cy + ry) and not filled(cx + lx, cy + ly)
+    # Cut each traced ring before its start and rank its edges by their
+    # distance to the cut (Wyllie's list ranking).
+    last = np.empty_like(succ)
+    last[succ] = np.arange(keys.size)
+    last = last[first]
+    succ[last] = last
+    dist = np.ones(keys.size, dtype=np.int64)
+    dist[last] = 0
+    while not np.array_equal(succ[first], succ[succ[first]]):
+        dist += dist[succ]
+        succ = succ[succ]
+    if not np.array_equal(succ[first], last) or np.unique(first).size < first.size:
+        raise ValueError("two starts lie on one ring")
+    ring = np.full(keys.size, -1)
+    ring[last] = np.arange(last.size)
+    ring = ring[succ]
+    members = np.flatnonzero(ring >= 0)
+    length = dist[first] + 1
+    offset = np.cumsum(length) - length
+    order = np.empty(int(length.sum()), dtype=np.int64)
+    order[(offset + dist[first])[ring[members]] - dist[members]] = members
+    corners = corner[order[turn[order]]]
+    verts = np.stack([corners % stride, corners // stride], axis=1).astype(np.float64)
+    counts = np.add.reduceat(turn[order], offset, dtype=np.int64)
+    return np.split(verts, np.cumsum(counts)[:-1])
 
-    start = (int(xs[0]), int(ys[0]))
-    cx, cy, d = start[0], start[1], 0
-    verts = [start]
+
+def _first_argmax(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Index into `values` of the first maximum of each non-empty segment
+    values[starts[i]:starts[i + 1]]."""
+    peak = np.maximum.reduceat(values, starts)
+    counts = np.diff(np.append(starts, values.size))
+    hit = np.flatnonzero(values == np.repeat(peak, counts))
+    return hit[np.searchsorted(hit, starts)]
+
+
+def douglas_peucker(rings, eps: float) -> list[np.ndarray]:
+    """Douglas-Peucker simplification of closed vertex rings.
+
+    A ring of at most 4 vertices is returned as it is, and one whose
+    vertices all coincide as its first vertex. Any other ring is cut at its
+    first vertex farthest from vertex 0 into two open chains, each
+    simplified by recursive splitting at the first vertex farthest from the
+    chord beyond eps; the kept vertices keep their ring order.
+
+    All chains of all rings are split together, one split depth at a time,
+    with one batched distance computation per depth. A vertex's distance
+    uses only its differences from the chord's first end, so an integer
+    shift of a ring shifts its result exactly. On integer vertices (as
+    traced) a chord's squared length and each projection dx*abx + dy*aby
+    are exact, so no order of summation changes them; the remaining steps
+    are elementwise, so each distance has the bits of a one-chord
+    computation.
+    """
+    rings = [np.asarray(r, dtype=np.float64).reshape(-1, 2) for r in rings]
+    big = [i for i, r in enumerate(rings) if r.shape[0] > 4]
+    if not big:
+        return rings
+    n = np.array([rings[i].shape[0] for i in big])
+    first = np.cumsum(n) - n
+    # Each ring followed by a copy of its vertex 0, so that its chains are
+    # [head, far] and [far, head + n] in one index space. The copy only
+    # ever ends a chord, so it is never kept.
+    head = first + np.arange(n.size)
+    source = np.arange(n.sum() + n.size) - np.repeat(head - first, n + 1)
+    source[head + n] = first
+    pts = np.concatenate([rings[i] for i in big])[source]
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    dx, dy = x - np.repeat(x[head], n + 1), y - np.repeat(y[head], n + 1)
+    far = _first_argmax(dx * dx + dy * dy, head)
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    keep[head] = keep[far] = True
+    i, j = np.concatenate([head, far]), np.concatenate([far, head + n])
     while True:
-        nx, ny = cx + _DIRS[d][0], cy + _DIRS[d][1]
-        for nd in (_LEFT_TURN[d], d, _RIGHT_TURN[d]):
-            if valid(nx, ny, nd):
-                break
-        else:
+        live = j - i > 1
+        i, j = i[live], j[live]
+        if i.size == 0:
             break
-        if (nx, ny) == start and nd == 0:
-            break
-        if nd != d:
-            verts.append((nx, ny))
-        cx, cy, d = nx, ny, nd
-    return np.array(verts, dtype=np.float64)
-
-
-def _point_segment_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Only differences from a enter, so an integer shift of every point
-    # (exact on the vertex lattice) leaves each distance bit-identical.
-    d = pts - a
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(d, axis=1)
-    t = np.clip(d @ ab / denom, 0.0, 1.0)
-    return np.linalg.norm(d - t[:, None] * ab, axis=1)
-
-
-def _dp_open(pts: np.ndarray, eps: float) -> np.ndarray:
-    n = pts.shape[0]
-    keep = np.zeros(n, dtype=bool)
-    keep[0] = keep[-1] = True
-    stack = [(0, n - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j <= i + 1:
-            continue
-        d = _point_segment_dist(pts[i + 1:j], pts[i], pts[j])
-        k = int(np.argmax(d))
-        if d[k] > eps:
-            keep[i + 1 + k] = True
-            stack.append((i, i + 1 + k))
-            stack.append((i + 1 + k, j))
-    return pts[keep]
-
-
-def douglas_peucker(pts, eps: float) -> np.ndarray:
-    """Douglas-Peucker simplification of a closed vertex ring."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    n = pts.shape[0]
-    if n <= 4:
-        return pts
-    far = int(np.argmax(((pts - pts[0]) ** 2).sum(axis=1)))
-    if far == 0:
-        return pts[:1]
-    first = _dp_open(pts[:far + 1], eps)
-    second = _dp_open(np.vstack([pts[far:], pts[:1]]), eps)
-    return np.vstack([first[:-1], second[:-1]])
+        inner = j - i - 1
+        at = np.cumsum(inner) - inner
+        idx = np.arange(inner.sum()) - np.repeat(at - i - 1, inner)
+        abx, aby = x[j] - x[i], y[j] - y[i]
+        denom = abx * abx + aby * aby
+        denom[denom == 0.0] = 1.0  # a closed chord: ab = 0, so t = 0
+        abx, aby = np.repeat(abx, inner), np.repeat(aby, inner)
+        dx, dy = x[idx] - np.repeat(x[i], inner), y[idx] - np.repeat(y[i], inner)
+        t = np.clip((dx * abx + dy * aby) / np.repeat(denom, inner), 0.0, 1.0)
+        dx -= t * abx
+        dy -= t * aby
+        dist = np.sqrt(dx * dx + dy * dy)
+        k = _first_argmax(dist, at)
+        split = dist[k] > eps
+        k = idx[k[split]]
+        keep[k] = True
+        i, j = np.concatenate([i[split], k]), np.concatenate([k, j[split]])
+    kept = np.add.reduceat(keep, head, dtype=np.int64)
+    for r, part, coincide in zip(big, np.split(pts[keep], np.cumsum(kept)[:-1]), far == head):
+        rings[r] = rings[r][:1] if coincide else part
+    return rings
 
 
 def trace_contours(mask, min_area: float, eps: float = 1.0) -> list[TextPolygon]:
     """Polygons of the 8-connected components covering at least min_area pixels.
 
-    Each component is traced in its own bounding box plus a 1 px margin.
+    Each polygon is a component's outer boundary on the pixel-edge lattice
+    (its holes filled), simplified with tolerance eps; components come in
+    first-appearance scan order, and one that simplifies to fewer than 3
+    vertices is dropped. One labelling pass finds each component's first
+    pixel and size; the kept components are then traced together
+    (`trace_boundary`) and simplified together (`douglas_peucker`).
     """
-    polys = []
-    for pts in connected_components(mask):
-        if pts.shape[0] < min_area:
-            continue
-        origin = pts.min(axis=0) - 1
-        local = pts - origin
-        crop = np.zeros(local.max(axis=0)[::-1] + 2, dtype=bool)
-        crop[local[:, 1], local[:, 0]] = True
-        simplified = douglas_peucker(trace_boundary(crop) + origin, eps)
-        if simplified.shape[0] >= 3:
-            polys.append(TextPolygon(simplified))
-    return polys
+    m = np.asarray(mask, dtype=bool)
+    seeds, sizes = _component_seeds(m)
+    # Drop as `size < min_area` does: a NaN min_area drops nothing.
+    rings = trace_boundary(m, seeds[~(sizes < min_area)])
+    return [TextPolygon(r) for r in douglas_peucker(rings, eps) if r.shape[0] >= 3]
 
 
 def shape_text(maps: GeometryMaps, cfg: ShapingConfig | None = None) -> list[TextPolygon]:

@@ -271,3 +271,114 @@ def row_softmax_oracle(x):
     x = np.ascontiguousarray(x, dtype=np.float64)
     z = np.exp(x - x.max(axis=1, keepdims=True))
     return z / z.sum(axis=1, keepdims=True)
+
+
+# Crack-boundary walk directions: R, D, L, U as (dx, dy) with y pointing down.
+_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_LEFT_TURN = (3, 0, 1, 2)
+_RIGHT_TURN = (1, 2, 3, 0)
+# Pixel offsets (dx, dy) from a corner to the pixels right/left of an edge
+# leaving that corner in direction d.
+_RIGHT_PIXEL = ((0, 0), (-1, 0), (-1, -1), (0, -1))
+_LEFT_PIXEL = ((0, -1), (0, 0), (-1, 0), (-1, -1))
+
+
+def trace_boundary_oracle(mask):
+    """Outer boundary of the region holding the first pixel (row-major) of
+    a mask, walked one pixel edge at a time from that pixel's top-left
+    corner, trying a left turn, straight on, then a right turn at each
+    corner. Returns the direction-change corners as float64 (x, y)."""
+    m = np.asarray(mask, dtype=bool)
+    h, w = m.shape
+    ys, xs = np.nonzero(m)
+    if ys.size == 0:
+        return np.empty((0, 2))
+
+    def filled(px, py):
+        return 0 <= py < h and 0 <= px < w and m[py, px]
+
+    def valid(cx, cy, d):
+        rx, ry = _RIGHT_PIXEL[d]
+        lx, ly = _LEFT_PIXEL[d]
+        return filled(cx + rx, cy + ry) and not filled(cx + lx, cy + ly)
+
+    start = (int(xs[0]), int(ys[0]))
+    cx, cy, d = start[0], start[1], 0
+    verts = [start]
+    while True:
+        nx, ny = cx + _DIRS[d][0], cy + _DIRS[d][1]
+        for nd in (_LEFT_TURN[d], d, _RIGHT_TURN[d]):
+            if valid(nx, ny, nd):
+                break
+        else:
+            break
+        if (nx, ny) == start and nd == 0:
+            break
+        if nd != d:
+            verts.append((nx, ny))
+        cx, cy, d = nx, ny, nd
+    return np.array(verts, dtype=np.float64)
+
+
+def point_segment_dist_oracle(pts, a, b):
+    """Distance of each point to the segment ab, from differences to a."""
+    d = pts - a
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return np.linalg.norm(d, axis=1)
+    t = np.clip(d @ ab / denom, 0.0, 1.0)
+    return np.linalg.norm(d - t[:, None] * ab, axis=1)
+
+
+def dp_open_oracle(pts, eps):
+    """Douglas-Peucker of an open chain, one segment per stack pop."""
+    n = pts.shape[0]
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = keep[-1] = True
+    stack = [(0, n - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j <= i + 1:
+            continue
+        d = point_segment_dist_oracle(pts[i + 1:j], pts[i], pts[j])
+        k = int(np.argmax(d))
+        if d[k] > eps:
+            keep[i + 1 + k] = True
+            stack.append((i, i + 1 + k))
+            stack.append((i + 1 + k, j))
+    return pts[keep]
+
+
+def douglas_peucker_oracle(pts, eps):
+    """Douglas-Peucker of one closed ring: rings of at most 4 vertices kept,
+    otherwise cut at the first vertex farthest from vertex 0 into two open
+    chains."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    n = pts.shape[0]
+    if n <= 4:
+        return pts
+    far = int(np.argmax(((pts - pts[0]) ** 2).sum(axis=1)))
+    if far == 0:
+        return pts[:1]
+    first = dp_open_oracle(pts[:far + 1], eps)
+    second = dp_open_oracle(np.vstack([pts[far:], pts[:1]]), eps)
+    return np.vstack([first[:-1], second[:-1]])
+
+
+def trace_contours_oracle(mask, min_area, eps=1.0):
+    """Vertex arrays of the simplified outer boundaries of the 8-connected
+    components of at least min_area pixels, each component traced alone in
+    its bounding box plus a 1 px margin."""
+    out = []
+    for pts in label8_bfs_oracle(mask)[1]:
+        if pts.shape[0] < min_area:
+            continue
+        origin = pts.min(axis=0) - 1
+        local = pts - origin
+        crop = np.zeros(local.max(axis=0)[::-1] + 2, dtype=bool)
+        crop[local[:, 1], local[:, 0]] = True
+        simplified = douglas_peucker_oracle(trace_boundary_oracle(crop) + origin, eps)
+        if simplified.shape[0] >= 3:
+            out.append(simplified)
+    return out

@@ -20,8 +20,8 @@ from helpers import convex_intersection_area_oracle, exact_iou_oracle, rasterize
 from test_shaping import fps_oracle
 from textshaper.cli import _bench_candidates, _rects_at
 from textshaper.dataio import (AnnotationError, MapFileError, SynthBand, SynthSpec,
-                               parse_annotation_text, parse_annotations, read_map, synth_maps,
-                               write_map)
+                               lowlight_suite, parse_annotation_text, parse_annotations,
+                               read_map, synth_maps, write_map)
 from textshaper.evaluation import aggregate, harmonic_f1, match_image
 from textshaper.geometry import polygon_area, polygon_iou, rasterize
 from textshaper.grids import conv2d
@@ -131,36 +131,10 @@ def test_c03_fps_vs_nms_overlap_and_speed():
         assert statistics.median(fps_times) < statistics.median(nms_times)
 
 
-def shaping_suite(noise_sigma=0.0, gamma=1.0):
-    """50 frozen synthetic instances: straight, sinusoidal (amp <= 12), two-band."""
-    rng = np.random.default_rng(1)
-    specs = []
-    for i in range(50):
-        kind = i % 3
-        y_mid = float(rng.uniform(44, 84))
-        height = float(rng.uniform(12, 17))
-        amp = float(rng.uniform(4, 12))
-        period = float(rng.uniform(70, 130))
-        phase = float(rng.uniform(0, 6.28))
-        x0, x1 = 14.0, 210.0
-        if kind == 0:
-            bands = (SynthBand(y_center=y_mid, height=height, x_start=x0, x_end=x1),)
-        elif kind == 1:
-            bands = (SynthBand(y_center=y_mid, height=height, x_start=x0, x_end=x1,
-                               amplitude=amp, period=period, phase=phase),)
-        else:
-            bands = (SynthBand(y_center=40.0, height=height, x_start=x0, x_end=x1,
-                               amplitude=min(amp, 8.0), period=period, phase=phase),
-                     SynthBand(y_center=92.0, height=height, x_start=x0, x_end=x1))
-        specs.append(SynthSpec(frame_h=128, frame_w=224, bands=bands,
-                               noise_sigma=noise_sigma, gamma=gamma))
-    return specs
-
-
 def test_c04_end_to_end_synthetic_shaping():
     with criterion(4, "end-to-end shaping of 50 synthetic instances", budget_s=60.0):
         counts = []
-        for i, spec in enumerate(shaping_suite()):
+        for i, spec in enumerate(lowlight_suite(50)):
             maps, gt = synth_maps(spec, seed=100 + i)
             polys = shape_text(maps)
             for g in gt:
@@ -176,7 +150,7 @@ def test_c04_end_to_end_synthetic_shaping():
 def test_c05_low_light_robustness():
     with criterion(5, "shaping under contrast dimming and noise", budget_s=60.0):
         counts = []
-        for i, spec in enumerate(shaping_suite(noise_sigma=0.05, gamma=0.3)):
+        for i, spec in enumerate(lowlight_suite(50, noise_sigma=0.05, gamma=0.3)):
             maps, gt = synth_maps(spec, seed=100 + i)
             polys = shape_text(maps)
             counts.append((f"img{i}", *match_image(polys, gt, 0.5)))
@@ -219,7 +193,7 @@ def test_c13_dark_frames_keep_bands_whole():
     # polygon per band
     with criterion(13, "shaping of dark frames (gamma 0.15, sigma 0.1)", budget_s=60.0):
         counts = []
-        for i, spec in enumerate(shaping_suite(noise_sigma=0.1, gamma=0.15)[:6]):
+        for i, spec in enumerate(lowlight_suite(6, noise_sigma=0.1, gamma=0.15)):
             maps, gt = synth_maps(spec, seed=100 + i)
             counts.append((f"img{i}", *match_image(shape_text(maps), gt, 0.5)))
         report = aggregate(counts)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from textshaper.dataio import (AnnotationError, ImageFormatError, MapFileError, SynthBand,
-                               SynthSpec, band_polygon, draw_polygon_outline,
+                               SynthSpec, band_polygon, draw_polygon_outline, lowlight_suite,
                                parse_annotation_text, parse_annotations, read_geometry_maps,
                                read_map, read_pgm, synth_maps, write_annotations,
                                write_geometry_maps, write_map, write_pgm, write_ppm)
@@ -329,6 +330,21 @@ class TestSynthMaps:
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthSpec(frame_h=40, frame_w=96, noise_sigma=sigma,
                       bands=(SynthBand(y_center=20, height=10, x_start=8, x_end=88),))
+
+    def test_lowlight_suite_frozen(self):
+        # the low-light criteria and scripts/lowlight_robustness.py must
+        # keep seeing these 50 instances; the digest is of their bands
+        specs = lowlight_suite(50, noise_sigma=0.1, gamma=0.15)
+        digest = hashlib.sha256(repr([s.bands for s in specs]).encode()).hexdigest()
+        assert digest == "1b1035c16e0b2e454d37c324aba9e31c7fd01836a272eee517bfe029dd55cae4"
+        assert specs[0].bands == (SynthBand(y_center=64.47286498801027,
+                                            height=16.752318481629676, x_start=14.0,
+                                            x_end=210.0),)
+        assert {(s.frame_h, s.frame_w, s.noise_sigma, s.gamma) for s in specs} == {
+            (128, 224, 0.1, 0.15)}
+        assert [len(s.bands) for s in specs[:6]] == [1, 1, 2, 1, 1, 2]
+        # a shorter suite is a prefix of a longer one
+        assert lowlight_suite(6, noise_sigma=0.1, gamma=0.15) == specs[:6]
 
     def test_band_polygon_width_matches_height(self):
         band = SynthBand(y_center=20, height=12, x_start=5, x_end=60)

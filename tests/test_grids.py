@@ -309,3 +309,7 @@ def test_logistic_matches_masked_oracle(x):
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     np.testing.assert_array_equal(np.asarray(x), before)
+    buf = np.array(x, dtype=np.float64)
+    assert grids._logistic_inplace(buf) is buf
+    np.testing.assert_array_equal(buf, want)
+    np.testing.assert_array_equal(np.signbit(buf), np.signbit(want))

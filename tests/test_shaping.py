@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (convex_intersection_area_oracle, fps_full_scan_oracle, label8_bfs_oracle,
-                     signed_area_oracle, square_window_oracle)
+from helpers import (convex_intersection_area_oracle, douglas_peucker_oracle, fps_full_scan_oracle,
+                     label8_bfs_oracle, signed_area_oracle, square_window_oracle,
+                     trace_boundary_oracle, trace_contours_oracle)
 from textshaper import shaping
-from textshaper.dataio import SynthBand, SynthSpec, synth_maps
+from textshaper.dataio import SynthBand, SynthSpec, band_polygon, lowlight_suite, synth_maps
 from textshaper.geometry import RotatedRect, polygon_iou, rasterize, rect_corners
 from textshaper.maps import GeometryMaps
 from textshaper.shaping import (FPS_CAP, OVERLAP_COUNTER, ShapingConfig, accumulate_and_close,
                                 build_components, close_binary, connected_components, dilate,
-                                erode, extract_centers, farthest_point_sample,
+                                douglas_peucker, erode, extract_centers, farthest_point_sample,
                                 farthest_point_sample_indices, nms_baseline, shape_text,
                                 trace_boundary, trace_contours)
 
@@ -483,9 +484,12 @@ class TestTraceContours:
     def test_boundary_covers_pixel_area(self):
         m = np.zeros((6, 6), dtype=bool)
         m[2, 3] = True
-        verts = trace_boundary(m)
+        m[4:, :] = True
+        verts, band = trace_boundary(m, [(3, 2), (0, 4)])
         assert {tuple(p) for p in verts} == {(3.0, 2.0), (4.0, 2.0), (4.0, 3.0), (3.0, 3.0)}
         assert signed_area_oracle(verts) == pytest.approx(1.0)
+        np.testing.assert_array_equal(band, [[0.0, 4.0], [6.0, 4.0], [6.0, 6.0], [0.0, 6.0]])
+        assert signed_area_oracle(band) == pytest.approx(12.0)
 
     def test_reraster_matches_mask_exactly_for_rectilinear(self):
         rng = np.random.default_rng(3)
@@ -550,12 +554,168 @@ class TestTraceContours:
             np.testing.assert_array_equal(q.vertices, p.vertices + [13.0, 7.0])
 
     def test_point_segment_distance_depends_on_differences_only(self):
+        # distances are taken from differences to each chord's first end,
+        # so shifting the rings shifts every simplified ring exactly
         rng = np.random.default_rng(0)
-        pts = rng.integers(0, 50, size=(200, 2)).astype(float)
-        a, b = np.array([3.0, 4.0]), np.array([41.0, 29.0])
-        d = shaping._point_segment_dist(pts, a, b)
+        rings = [rng.integers(0, 50, size=(n, 2)).astype(float) for n in (5, 9, 40, 200)]
         off = np.array([1013.0, 517.0])
-        np.testing.assert_array_equal(shaping._point_segment_dist(pts + off, a + off, b + off), d)
+        for eps in (0.0, 1.0, 2.5):
+            shifted = douglas_peucker([r + off for r in rings], eps)
+            for r, q in zip(douglas_peucker(rings, eps), shifted):
+                np.testing.assert_array_equal(q, r + off)
+
+
+def assert_contours_match_oracle(mask, min_area, eps):
+    got = trace_contours(mask, min_area, eps)
+    want = trace_contours_oracle(mask, min_area, eps)
+    assert len(got) == len(want)
+    for p, w in zip(got, want):
+        assert p.vertices.dtype == w.dtype
+        np.testing.assert_array_equal(p.vertices, w)
+    return got
+
+
+def band_frame(seed, h=640, w=640):
+    """Union mask of 4-6 sinusoid bands over a 640x640 frame, with pixel
+    dropout and speckle closed as shape_text closes its union mask."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 7))
+    m = np.zeros((h, w), dtype=bool)
+    for y in np.linspace(0, h, n + 2)[1:-1]:
+        band = SynthBand(y_center=float(y), height=float(rng.uniform(14, 24)),
+                         x_start=float(rng.uniform(16, 80)), x_end=float(rng.uniform(560, 624)),
+                         amplitude=float(rng.uniform(4, 20)), period=float(rng.uniform(90, 220)),
+                         phase=float(rng.uniform(0, 2 * math.pi)))
+        m |= rasterize(band_polygon(band), h, w)
+    m &= rng.uniform(size=m.shape) > 0.05
+    m |= rng.uniform(size=m.shape) < 0.002
+    return close_binary(m, 5)
+
+
+def saddle_mask(rng, h, w):
+    """Random diagonal chains, crossing and touching only at corners."""
+    m = np.zeros((h, w), dtype=bool)
+    for _ in range(int(rng.integers(1, 25))):
+        y, x = (int(v) for v in rng.integers(0, (h, w)))
+        step = 1 if rng.uniform() < 0.5 else -1
+        for k in range(int(rng.integers(1, 30))):
+            if 0 <= y + k < h and 0 <= x + step * k < w:
+                m[y + k, x + step * k] = True
+    return m
+
+
+class TestBatchContours:
+    """The whole-frame tracing and simplification equal the per-component
+    walk and stack-based Douglas-Peucker of tests/helpers.py bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_synthetic_640_multi_band_frames(self, seed):
+        m = band_frame(seed)
+        polys = assert_contours_match_oracle(m, 150.0, 1.0)
+        assert 4 <= len(polys) <= 6
+        assert_contours_match_oracle(m, 0.0, 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.15])
+    def test_dark_suite_frames(self, gamma, monkeypatch):
+        masks = []
+
+        def spy(mask, min_area, eps=1.0):
+            masks.append(mask)
+            return trace_contours(mask, min_area, eps)
+
+        monkeypatch.setattr(shaping, "trace_contours", spy)
+        cfg = ShapingConfig()
+        for i, spec in enumerate(lowlight_suite(4, noise_sigma=0.1, gamma=gamma)):
+            maps, _ = synth_maps(spec, seed=100 + i)
+            polys = shape_text(maps, cfg)
+            want = assert_contours_match_oracle(masks[-1], cfg.min_area, 1.0)
+            assert [p.vertices.tolist() for p in polys] == [p.vertices.tolist() for p in want]
+            assert_contours_match_oracle(masks[-1], 0.0, 0.0)
+        assert len(masks) == 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_saddle_rich_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            h, w = (int(v) for v in rng.integers(1, 48, size=2))
+            m = saddle_mask(rng, h, w)
+            if seed % 2:
+                m |= rng.uniform(size=(h, w)) < 0.3
+            for min_area, eps in ((0.0, 0.0), (1.0, 1.0), (4.0, 2.5)):
+                assert_contours_match_oracle(m, min_area, eps)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (8, 8), (9, 14)])
+    def test_checkerboards(self, shape):
+        board = (np.add.outer(np.arange(shape[0]), np.arange(shape[1])) % 2).astype(bool)
+        for m in (board, ~board):
+            for min_area, eps in ((0.0, 0.0), (1.0, 1.0)):
+                assert_contours_match_oracle(m, min_area, eps)
+        holed = board.copy()
+        holed[1::3, ::4] = False
+        assert_contours_match_oracle(holed, 0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_touching_frame_edge(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(size=(20, 30)) < 0.5
+        m[:, 0] = m[:, -1] = True
+        m[8:12] = False
+        m[0, 10:14] = m[-1, 3:9] = False
+        for min_area, eps in ((0.0, 0.0), (1.0, 1.0), (5.0, 2.0)):
+            assert_contours_match_oracle(m, min_area, eps)
+        assert_contours_match_oracle(np.ones((5, 9), dtype=bool), 0.0, 0.0)
+
+    def test_min_area_is_inclusive_and_eps_zero_keeps_every_turn(self):
+        m = np.zeros((10, 12), dtype=bool)
+        m[1:3, 1:3] = True  # 4 px
+        m[5:9, 4:11] = True
+        m[6:8, 10] = False  # a notch: 8 turns
+        got = assert_contours_match_oracle(m, 4.0, 0.0)
+        assert [p.vertices.shape[0] for p in got] == [4, 8]
+        assert len(assert_contours_match_oracle(m, 4.5, 0.0)) == 1
+        assert trace_contours(np.zeros((6, 6), dtype=bool), 0.0, 0.0) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_douglas_peucker_matches_oracle(self, seed):
+        # integer rings with repeated vertices, closed chords and short rings
+        rng = np.random.default_rng(seed)
+        rings = [rng.integers(0, 6 + 10 * seed, size=(int(n), 2)).astype(float)
+                 for n in rng.integers(1, 60, size=20)]
+        rings.append(np.tile([[3.0, 4.0]], (7, 1)))  # all vertices coincide
+        rings.append(np.array([[0.0, 0], [4, 0], [4, 3], [0, 0], [0, 3], [2, 5]]))
+        for eps in (0.0, 0.5, 1.0, 3.0):
+            got = douglas_peucker(rings, eps)
+            assert len(got) == len(rings)
+            for ring, g in zip(rings, got):
+                np.testing.assert_array_equal(g, douglas_peucker_oracle(ring, eps))
+        assert douglas_peucker([], 1.0) == []
+
+    def test_trace_boundary_equals_each_component_alone(self):
+        rng = np.random.default_rng(5)
+        m = rng.uniform(size=(30, 40)) < 0.45
+        comps = connected_components(m)
+        rings = trace_boundary(m, [c[0] for c in comps])
+        assert len(rings) == len(comps)
+        for ring, pts in zip(rings, comps):
+            alone = np.zeros_like(m)
+            alone[pts[:, 1], pts[:, 0]] = True
+            np.testing.assert_array_equal(ring, trace_boundary_oracle(alone))
+
+    @pytest.mark.parametrize("starts", [[(3, 3)], [(4, 2)], [(-1, 2)], [(6, 1)], [(2, 9)]])
+    def test_trace_boundary_rejects_a_start_off_the_boundary(self, starts):
+        m = np.zeros((6, 6), dtype=bool)
+        m[2:4, 2:4] = True
+        m[5, 0] = True
+        with pytest.raises(ValueError, match="not a filled pixel below an empty one"):
+            trace_boundary(m, starts)
+
+    @pytest.mark.parametrize("starts", [[(2, 2), (3, 2)], [(2, 2), (2, 2)]])
+    def test_trace_boundary_rejects_two_starts_on_one_ring(self, starts):
+        m = np.zeros((6, 6), dtype=bool)
+        m[2:4, 2:4] = True
+        with pytest.raises(ValueError, match="two starts lie on one ring"):
+            trace_boundary(m, starts)
+        assert trace_boundary(m, np.empty((0, 2))) == []
 
 
 class TestShapeText:
