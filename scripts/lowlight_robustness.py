@@ -3,10 +3,16 @@
 
 Generates a fixed suite of synthetic band instances, degrades the score
 maps over a (gamma, sigma) grid, and reports detection P/R/F1 at IoU 0.5
-for each setting with default shaping thresholds.
+for each setting with default shaping thresholds, and the median time of
+one `shape_text` call per frame. Dark settings break each centre line into
+hundreds of components, so that column shows their cost per frame:
+
+    PYTHONPATH=src python scripts/lowlight_robustness.py --gammas 0.3 0.15 --sigmas 0.1
 """
 
 import argparse
+import statistics
+import time
 
 from textshaper.dataio import lowlight_suite, synth_maps
 from textshaper.evaluation import aggregate, match_image
@@ -22,16 +28,20 @@ def main():
     ap.add_argument("--iou", type=float, default=0.5)
     args = ap.parse_args()
 
-    print(f"{'gamma':>6} {'sigma':>6} {'P(%)':>7} {'R(%)':>7} {'F1(%)':>7}")
+    print(f"{'gamma':>6} {'sigma':>6} {'P(%)':>7} {'R(%)':>7} {'F1(%)':>7} {'shape(ms)':>9}")
     for gamma in args.gammas:
         for sigma in args.sigmas:
-            counts = []
+            counts, times = [], []
             for i, spec in enumerate(lowlight_suite(args.instances, sigma, gamma)):
                 maps, gt = synth_maps(spec, seed=100 + i)
-                counts.append((f"img{i}", *match_image(shape_text(maps), gt, args.iou)))
+                t0 = time.perf_counter()
+                polys = shape_text(maps)
+                times.append(time.perf_counter() - t0)
+                counts.append((f"img{i}", *match_image(polys, gt, args.iou)))
             rep = aggregate(counts)
             print(f"{gamma:>6.2f} {sigma:>6.2f} {100 * rep.precision:>7.1f} "
-                  f"{100 * rep.recall:>7.1f} {100 * rep.f1:>7.1f}")
+                  f"{100 * rep.recall:>7.1f} {100 * rep.f1:>7.1f} "
+                  f"{1e3 * statistics.median(times):>9.1f}")
 
 
 if __name__ == "__main__":

@@ -56,14 +56,16 @@ class TextPolygon:
         object.__setattr__(self, "vertices", v)
 
 
-def normalize_angle(theta: float) -> float:
-    """Wrap an angle into (-pi/2, pi/2] modulo pi."""
-    t = math.fmod(float(theta), math.pi)
-    if t > math.pi / 2:
-        t -= math.pi
-    elif t <= -math.pi / 2:
-        t += math.pi
-    return t
+def normalize_angle(theta):
+    """Wrap angles into (-pi/2, pi/2] modulo pi: a float for a scalar, an
+    array for an array. np.fmod is exact, like math.fmod, so either gives
+    the same bits. Non-finite angles raise ValueError."""
+    t = np.asarray(theta, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError(f"angle must be finite, got {t[~np.isfinite(t)].ravel()[0]}")
+    t = np.fmod(t, math.pi)
+    t = np.where(t > math.pi / 2, t - math.pi, np.where(t <= -math.pi / 2, t + math.pi, t))
+    return float(t) if t.ndim == 0 else t
 
 
 # Signs of (w / 2, h / 2) at the four corners, counter-clockwise by the
@@ -71,22 +73,32 @@ def normalize_angle(theta: float) -> float:
 _CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _corner_terms(r: RotatedRect) -> tuple:
-    c, s = math.cos(r.theta), math.sin(r.theta)
-    return r.cx, r.cy, r.w / 2.0, r.h / 2.0, c, s, -s, c
-
-
-def rects_corners(rects) -> np.ndarray:
-    """The four corners of each rect as a (k, 4, 2) array, counter-clockwise
-    by the shoelace sign: the local corners times the transposed rotation
-    [[c, s], [-s, c]], one stacked matrix product, plus the centre."""
-    p = np.array([_corner_terms(r) for r in rects]).reshape(-1, 8)
+def rects_corners(rows) -> np.ndarray:
+    """The four corners of each rectangle row [cx, cy, h, w, theta] of a
+    (k, 5) array, as a (k, 4, 2) array, counter-clockwise by the shoelace
+    sign: the local corners times the transposed rotation [[c, s], [-s, c]],
+    one stacked matrix product, plus the centre. Cosine and sine come from
+    math.cos and math.sin, row by row, whose bits do not depend on the
+    numpy build."""
+    r = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    theta = r[:, 4].tolist()
+    # Terms in one C-ordered (k, 8) array, [cx, cy, w/2, h/2, c, s, -s, c]
+    # per rect: which matmul loop runs, and so its rounding, can depend on
+    # the operands' strides.
+    p = np.empty((r.shape[0], 8))
+    p[:, :2] = r[:, :2]
+    p[:, 2] = r[:, 3] / 2.0
+    p[:, 3] = r[:, 2] / 2.0
+    p[:, 4] = np.fromiter(map(math.cos, theta), np.float64, len(theta))
+    p[:, 5] = np.fromiter(map(math.sin, theta), np.float64, len(theta))
+    p[:, 6] = -p[:, 5]
+    p[:, 7] = p[:, 4]
     return np.matmul(_CORNER_SIGNS * p[:, None, 2:4], p[:, 4:].reshape(-1, 2, 2)) + p[:, None, :2]
 
 
 def rect_corners(rect: RotatedRect) -> np.ndarray:
     """The four corners of a rect, counter-clockwise by the shoelace sign."""
-    return rects_corners([rect])[0]
+    return rects_corners([rect.cx, rect.cy, rect.h, rect.w, rect.theta])[0]
 
 
 def _vertices_of(shape) -> np.ndarray:
@@ -154,7 +166,9 @@ def clip_convex(subject, clip) -> np.ndarray:
     clip = _vertices_of(clip)
     if signed_area(clip) < 0:
         clip = clip[::-1]
-    out = _clip_ccw([tuple(p) for p in _vertices_of(subject)], clip)
+    # Python floats: the same IEEE operations as numpy scalars, at a
+    # fraction of the cost per operation in the clipper's inner loop.
+    out = _clip_ccw([tuple(p) for p in _vertices_of(subject).tolist()], clip.tolist())
     return np.array(out).reshape(-1, 2)
 
 

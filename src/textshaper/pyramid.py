@@ -136,8 +136,9 @@ def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
     d_k is the key dimension. Query rows go in chunks whose (rows, n) score
     block fits in grids.CHUNK_BYTES (at least one row), so the n x n
     attention matrix is never held whole. Every chunk reuses one score
-    buffer, softmaxes it in place and multiplies it into its rows of the
-    output.
+    buffer, softmaxes it in place and multiplies it into the rows of the
+    query gate it has just consumed: AttentionParams makes d_k equal d, so
+    the gate's buffer holds the output and no third (n, d) array is made.
     """
     v = as_grid(tokens, 2)
     if v.shape[1] != params.w_q.shape[1]:
@@ -153,7 +154,6 @@ def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
     _logistic_inplace(k)
     scale = 1.0 / math.sqrt(params.w_k.shape[0])
     n = v.shape[0]
-    out = np.empty_like(v)
     rows = max(1, grids.CHUNK_BYTES // max(1, 8 * n))
     buf = np.empty((min(rows, n), n))
     for lo in range(0, n, rows):
@@ -161,8 +161,8 @@ def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
         s = np.matmul(q[lo:hi], k.T, out=buf[:hi - lo])
         s *= scale
         row_softmax_inplace(s)
-        np.matmul(s, v, out=out[lo:hi])
-    return out
+        np.matmul(s, v, out=q[lo:hi])
+    return q
 
 
 def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:

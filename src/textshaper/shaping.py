@@ -3,23 +3,28 @@ centers by farthest point sampling down to a coverage radius, accumulate the
 fixed-width rotated rectangles of every component into one frame mask, close
 its gaps morphologically once, and trace its contours.
 
-No step rescans what it does not change, and none walks pixels or vertices
-one at a time in Python. After each pick, farthest point sampling updates
-only the candidates within the pick's distance along the component's
-longer axis, a window found by bisection; no candidate outside it can come
-nearer, so the picks are those of a full rescan. The rectangles are
-rasterized in one batched scanline pass, each in its pixel bounding box.
-The contour step makes three whole-frame passes: a run-based labelling
-that keeps each component's first pixel and size, the linking of every
-boundary pixel edge to its successor with the outer rings of the kept
-components ranked by pointer jumping (`trace_boundary`), and a
-Douglas-Peucker simplification of all rings at once, one split depth at a
-time (`douglas_peucker`).
+No step rescans what it does not change, and none walks pixels, vertices or
+rectangles one at a time in Python. Farthest point sampling runs once per
+component: a component whose points all lie within the coverage radius of
+its seed (most components of a dark frame) returns the seed at once, and
+after each further pick only the candidates within the pick's distance
+along the component's longer axis are updated, a window found by
+bisection; no candidate outside it can come nearer, so the picks are those
+of a full rescan. The samples of all components then become one (k, 5)
+array of rectangle rows [cx, cy, h, w, theta] in a single
+`build_components` call, and the rectangles are rasterized in one batched
+scanline pass, each in its pixel bounding box. The contour step makes three
+whole-frame passes: a run-based labelling that keeps each component's
+first pixel and size, the linking of every boundary pixel edge to its
+successor with the outer rings of the kept components ranked by pointer
+jumping (`trace_boundary`), and a Douglas-Peucker simplification of all
+rings at once, one split depth at a time (`douglas_peucker`).
 
 Candidate filtering is overlap-free by construction: farthest point
 sampling never compares rectangles pairwise. A module-level counter
 instruments every rotated-rectangle overlap computation so the contrast
-with the greedy-NMS baseline is measurable.
+with the greedy-NMS baseline, which works on `RotatedRect` values, is
+measurable.
 """
 
 from __future__ import annotations
@@ -196,28 +201,45 @@ def farthest_point_sample_indices(points, budget: int, stop_dist: float = 0.0) -
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not np.isfinite(flat).all():
         raise ValueError("cannot sample from non-finite points")
-    centroid = flat.mean(axis=0)
-    seed = int(np.argmin(((flat - centroid) ** 2).sum(axis=1)))
-    chosen = [seed]
+    if n == 1:
+        return [0]
+    # flat.mean(axis=0) is this sum divided by n, bit for bit, behind
+    # Python-level set-up that costs more than the sum on small components
+    centroid = flat.sum(axis=0) / n
+    seed = int(((flat - centroid) ** 2).sum(axis=1).argmin())
     min_d2 = ((flat - flat[seed]) ** 2).sum(axis=1)
     stop2 = float(stop_dist) * float(stop_dist)
-    # Candidates sorted along the longer bounding-box axis, for the window.
+    best = min_d2.max()
+    if budget == 1 or best <= 0.0 or best < stop2:
+        return [seed]
+    chosen = [seed]
+    # Candidates sorted along the longer bounding-box axis, for the window;
+    # their x and y as two contiguous columns in that order.
     axis = int(np.ptp(flat[:, 1]) > np.ptp(flat[:, 0]))
     order = np.argsort(flat[:, axis], kind="stable")
-    by_key = flat[order]
-    key = by_key[:, axis].tolist()
+    xs, ys = flat[order, 0], flat[order, 1]
+    key = (ys if axis else xs).tolist()
+    px_of, py_of = flat[:, 0].tolist(), flat[:, 1].tolist()
+    d2_buf, dy2_buf = np.empty(n), np.empty(n)
     while len(chosen) < budget:
-        nxt = int(np.argmax(min_d2))
-        best = min_d2[nxt]
+        nxt = int(min_d2.argmax())
+        best = min_d2.item(nxt)
         if best <= 0.0 or best < stop2:
             break
         chosen.append(nxt)
-        at = flat[nxt, axis]
+        px, py = px_of[nxt], py_of[nxt]
+        at = py if axis else px
         reach = math.sqrt(best) * (1.0 + 1e-9) + abs(at) * 1e-9
         lo, hi = bisect.bisect_left(key, at - reach), bisect.bisect_right(key, at + reach)
+        # (x - px)^2 + (y - py)^2, the full scan's squared distance
+        d2, dy2 = d2_buf[:hi - lo], dy2_buf[:hi - lo]
+        np.subtract(xs[lo:hi], px, out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(ys[lo:hi], py, out=dy2)
+        np.multiply(dy2, dy2, out=dy2)
+        d2 += dy2
         near = order[lo:hi]
-        d2 = ((by_key[lo:hi] - flat[nxt]) ** 2).sum(axis=1)
-        min_d2[near] = np.minimum(min_d2[near], d2)
+        min_d2[near] = np.minimum(min_d2[near], d2, out=d2)
     return chosen
 
 
@@ -228,7 +250,9 @@ def farthest_point_sample(points, budget: int, stop_dist: float = 0.0) -> np.nda
     point farthest from the selected set, breaking ties toward the lowest
     index. Stops early once the best max-min distance drops below
     stop_dist, or when only duplicates of selected points remain. Points
-    must be finite.
+    must be finite. When the budget is 1, or no point lies at stop_dist or
+    beyond from the seed, the seed is returned at once; most components of
+    a dark frame end there.
 
     Adding a sample at max-min squared distance `best` can lower only the
     min-distances of points within sqrt(best) of it: any other point's
@@ -237,20 +261,25 @@ def farthest_point_sample(points, budget: int, stop_dist: float = 0.0) -> np.nda
     the set's longer bounding-box axis lies within sqrt(best) of the
     sample's, found by bisection in a once-sorted order. The window is
     widened by a relative 1e-9 of the reach and of the coordinate, far
-    above float rounding, so rounding can only add points to it; a point
-    it adds is updated with the full scan's expression, so the min-distances,
-    and the selection, are bit-identical to updating every point.
+    above float rounding, so rounding can only add points to it. A point in
+    it is updated with (x - px)^2 + (y - py)^2, the same IEEE operations as
+    a full scan's ((p - q) ** 2).sum(axis=1), and the min-distances are
+    kept in the points' own order, so that argmax breaks ties as a full
+    scan does: the selection is bit-identical to updating every point.
     """
     pts = np.asarray(points).reshape(-1, 2)
     return pts[farthest_point_sample_indices(pts, budget, stop_dist)]
 
 
-def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[RotatedRect]:
-    """One rotated rectangle per sampled center, read off the regression maps.
+def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> np.ndarray:
+    """One rotated rectangle per sampled center, read off the regression
+    maps, as a (k, 5) float64 array of rows [cx, cy, h, w, theta].
 
-    The centers' x, y, h and theta must be finite; `shape_text` samples
-    only such pixels. Height is clamped to a small positive floor so
-    degenerate regressions stay representable; width is fixed by the config.
+    Height is floored at MIN_RECT_HEIGHT so degenerate regressions stay
+    representable, width is fixed by the config and theta is wrapped into
+    (-pi/2, pi/2]. A center outside the map frame, or one whose x, y, h or
+    theta is not finite, raises ValueError; `shape_text` samples only
+    pixels whose values are finite.
     """
     pts = np.asarray(centers).reshape(-1, 2)
     ix, iy = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
@@ -258,9 +287,16 @@ def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> list[Ro
     if outside.any():
         px, py = pts[np.argmax(outside)]
         raise ValueError(f"center ({px}, {py}) outside the {maps.shape} map frame")
-    values = zip(*(m[iy, ix].tolist() for m in (maps.x, maps.y, maps.h, maps.theta)))
-    return [RotatedRect(cx=cx, cy=cy, h=max(h, MIN_RECT_HEIGHT), w=cfg.rect_width,
-                        theta=normalize_angle(theta)) for cx, cy, h, theta in values]
+    rows = np.stack([maps.x[iy, ix], maps.y[iy, ix], maps.h[iy, ix],
+                     np.full(pts.shape[0], cfg.rect_width), maps.theta[iy, ix]], axis=1)
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"center ({pts[i, 0]}, {pts[i, 1]}): {('x', 'y', 'h', 'w', 'theta')[j]} "
+                         f"must be finite, got {rows[i, j]}")
+    np.maximum(rows[:, 2], MIN_RECT_HEIGHT, out=rows[:, 2])
+    rows[:, 4] = normalize_angle(rows[:, 4])
+    return rows
 
 
 def _row_window(m: np.ndarray, kernel: int, reduce) -> np.ndarray:
@@ -308,7 +344,8 @@ def close_binary(mask, kernel: int) -> np.ndarray:
 
 
 def accumulate_and_close(rects, frame: tuple[int, int], cfg: ShapingConfig) -> np.ndarray:
-    """Union of rasterized rectangles, then a closing to bridge small gaps.
+    """Union of rasterized rectangles, given as (k, 5) rows [cx, cy, h, w,
+    theta], then a closing to bridge small gaps.
 
     All rectangles are rasterized in one batch, each in its pixel bounding
     box only.
@@ -519,10 +556,11 @@ def shape_text(maps: GeometryMaps, cfg: ShapingConfig | None = None) -> list[Tex
     """Full bottom-up shaping of one image's head maps into text polygons.
 
     Each center-region component is sampled on its own; candidates whose x,
-    y, h or theta is not finite are never sampled. The rectangles of all
-    components are then accumulated into one frame mask, closed once and
-    traced once, so every component whose rectangles land on the same text
-    joins that text's polygon. The output may be empty. Deterministic for
+    y, h or theta is not finite are never sampled. The samples of all
+    components are read off the maps as one array of rectangle rows, whose
+    rectangles are accumulated into one frame mask, closed once and traced
+    once, so every component whose rectangles land on the same text joins
+    that text's polygon. The output may be empty. Deterministic for
     fixed inputs and config.
 
     The closing also joins two instances whose rectangles come within
@@ -531,16 +569,16 @@ def shape_text(maps: GeometryMaps, cfg: ShapingConfig | None = None) -> list[Tex
     """
     cfg = cfg or ShapingConfig()
     usable = np.all([np.isfinite(m) for m in (maps.x, maps.y, maps.h, maps.theta)], axis=0)
-    rects: list[RotatedRect] = []
+    samples = []
     for comp in extract_centers(maps.center, cfg.center_thresh):
         cands = comp.candidates[usable[comp.candidates[:, 1], comp.candidates[:, 0]]]
         if cands.shape[0] == 0:
             continue
-        selected = farthest_point_sample(cands, FPS_CAP, cfg.coverage_radius)
-        rects.extend(build_components(selected, maps, cfg))
+        samples.append(farthest_point_sample(cands, FPS_CAP, cfg.coverage_radius))
     del usable  # frame-sized: not held through the frame-sized stages below
-    if not rects:
+    if not samples:
         return []
+    rects = build_components(np.concatenate(samples), maps, cfg)
     return trace_contours(accumulate_and_close(rects, maps.shape, cfg), cfg.min_area)
 
 

@@ -1,7 +1,15 @@
-"""Shared test oracles, deliberately independent of the library internals."""
+"""Shared test oracles, deliberately independent of the library internals.
+
+The rectangle and clipping oracles are the scalar forms the array code
+replaced; they use only the library's value type `RotatedRect` and its
+one Sutherland-Hodgman clipper."""
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from textshaper.geometry import RotatedRect, _clip_ccw
 
 
 def finite_diff_grad(f, x, step=1e-5):
@@ -382,3 +390,49 @@ def trace_contours_oracle(mask, min_area, eps=1.0):
         if simplified.shape[0] >= 3:
             out.append(simplified)
     return out
+
+
+def normalize_angle_scalar_oracle(theta):
+    """Wrap one angle into (-pi/2, pi/2] modulo pi with math.fmod."""
+    t = math.fmod(float(theta), math.pi)
+    if t > math.pi / 2:
+        t -= math.pi
+    elif t <= -math.pi / 2:
+        t += math.pi
+    return t
+
+
+def build_components_rect_oracle(centers, maps, rect_width, min_height=1e-3):
+    """One RotatedRect per center, built one at a time from the map values
+    as Python floats; RotatedRect checks every field."""
+    pts = np.asarray(centers).reshape(-1, 2)
+    ix, iy = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
+    values = zip(*(m[iy, ix].tolist() for m in (maps.x, maps.y, maps.h, maps.theta)))
+    return [RotatedRect(cx=cx, cy=cy, h=max(h, min_height), w=rect_width,
+                        theta=normalize_angle_scalar_oracle(theta))
+            for cx, cy, h, theta in values]
+
+
+def rect_rows(rects):
+    """RotatedRects as (k, 5) rows [cx, cy, h, w, theta]."""
+    return np.array([[r.cx, r.cy, r.h, r.w, r.theta] for r in rects]).reshape(-1, 5)
+
+
+_CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+def rects_corners_oracle(rects):
+    """(k, 4, 2) corners of a RotatedRect list: one tuple of cosine, sine
+    and half sides per rect, then the same stacked matrix product."""
+    p = np.array([(r.cx, r.cy, r.w / 2.0, r.h / 2.0, math.cos(r.theta), math.sin(r.theta),
+                   -math.sin(r.theta), math.cos(r.theta)) for r in rects]).reshape(-1, 8)
+    return np.matmul(_CORNER_SIGNS * p[:, None, 2:4], p[:, 4:].reshape(-1, 2, 2)) + p[:, None, :2]
+
+
+def clip_convex_numpy_oracle(subject, clip):
+    """Sutherland-Hodgman clip fed numpy float64 scalars, vertex by vertex."""
+    clip = np.asarray(getattr(clip, "vertices", clip), dtype=np.float64)
+    subject = np.asarray(getattr(subject, "vertices", subject), dtype=np.float64)
+    if np.sum(clip[:, 0] * np.roll(clip[:, 1], -1) - np.roll(clip[:, 0], -1) * clip[:, 1]) < 0:
+        clip = clip[::-1]
+    return np.array(_clip_ccw([tuple(p) for p in subject], clip)).reshape(-1, 2)

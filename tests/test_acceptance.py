@@ -200,6 +200,24 @@ def test_c13_dark_frames_keep_bands_whole():
         assert report.f1 >= 0.95, f"dark-suite F1 {100 * report.f1:.1f}% below 95%: {counts}"
 
 
+def test_c14_dark_large_frames_keep_bands_whole():
+    # At 640x640 the dark regime breaks five centre lines into about 20 000
+    # components per frame, most of them sampled by their seed alone; each
+    # band must still come out as one polygon. The budget covers shaping
+    # and matching, not the synthesis of the maps.
+    bands = tuple(SynthBand(y_center=64.0 + 128.0 * i, height=16.0, x_start=16.0, x_end=624.0,
+                            amplitude=10.0, period=120.0 + 20.0 * i, phase=0.7 * i)
+                  for i in range(5))
+    frames = {gamma: synth_maps(SynthSpec(640, 640, bands, noise_sigma=0.1, gamma=gamma), seed=100)
+              for gamma in (0.3, 0.15)}
+    with criterion(14, "shaping of dark 640x640 frames (gamma 0.3 and 0.15, sigma 0.1)",
+                   budget_s=10.0):
+        counts = [(f"gamma {gamma}", *match_image(shape_text(maps), gt, 0.5))
+                  for gamma, (maps, gt) in frames.items()]
+        report = aggregate(counts)
+        assert report.f1 >= 0.95, f"dark 640x640 F1 {100 * report.f1:.1f}% below 95%: {counts}"
+
+
 def finite_diff(f, x, step=1e-5):
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])

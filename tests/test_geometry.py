@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (convex_hull, convex_intersection_area_oracle, exact_iou_oracle,
-                     rasterize_oracle, scanline_rows_oracle, scanline_windows_oracle)
+from helpers import (clip_convex_numpy_oracle, convex_hull, convex_intersection_area_oracle,
+                     exact_iou_oracle, normalize_angle_scalar_oracle, rasterize_oracle, rect_rows,
+                     rects_corners_oracle, scanline_rows_oracle, scanline_windows_oracle)
 from textshaper import geometry
+from textshaper.dataio import SynthBand, SynthSpec, synth_maps
+from textshaper.shaping import shape_text
 from textshaper.geometry import (RotatedRect, TextPolygon, clip_convex, is_convex,
                                  normalize_angle, polygon_area, polygon_iou, rasterize,
                                  rasterize_union, rect_corners, rects_corners)
@@ -52,6 +55,26 @@ class TestRectCorners:
         r = RotatedRect(cx=3, cy=4, h=2, w=5, theta=0.7)
         assert signed_area(rect_corners(r)) > 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_match_per_rect_oracle(self, seed):
+        # cosine and sine are math.cos and math.sin per row, as for one
+        # RotatedRect at a time, so the corners carry the same bits
+        rng = np.random.default_rng(200 + seed)
+        k = 500
+        theta = rng.uniform(-math.pi / 2, math.pi / 2, k)
+        theta[::5] = rng.choice([math.pi / 2, 0.0, -0.0, 1e-300, -math.pi / 2 + 1e-15], size=100)
+        rects = [RotatedRect(cx=cx, cy=cy, h=h, w=w, theta=t) for cx, cy, h, w, t in zip(
+            rng.uniform(-1e3, 1e3, k).tolist(), rng.normal(0, 50, k).tolist(),
+            rng.uniform(1e-3, 40, k).tolist(), rng.uniform(0.5, 8, k).tolist(), theta.tolist())]
+        corners = rects_corners(rect_rows(rects))
+        assert corners.shape == (k, 4, 2)
+        np.testing.assert_array_equal(corners, rects_corners_oracle(rects))
+        for r, c in zip(rects[:20], corners):
+            np.testing.assert_array_equal(rect_corners(r), c)
+
+    def test_no_rows(self):
+        assert rects_corners(np.empty((0, 5))).shape == (0, 4, 2)
+
 
 class TestNormalizeAngle:
     @pytest.mark.parametrize("theta,expected", [
@@ -60,6 +83,29 @@ class TestNormalizeAngle:
     ])
     def test_values(self, theta, expected):
         assert normalize_angle(theta) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_array_matches_scalar_fmod(self, seed):
+        # np.fmod is exact like math.fmod: each element gets the scalar's bits
+        rng = np.random.default_rng(seed)
+        theta = np.concatenate([rng.uniform(-50, 50, 3000), rng.normal(0, 1e6, 500),
+                                np.arange(-8, 9) * (math.pi / 2), [0.0, -0.0, 1e-310, -1e-310],
+                                np.nextafter(np.arange(-8, 9) * (math.pi / 2), math.inf),
+                                np.nextafter(np.arange(-8, 9) * (math.pi / 2), -math.inf)])
+        got = normalize_angle(theta)
+        want = np.array([normalize_angle_scalar_oracle(t) for t in theta.tolist()])
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert all(normalize_angle(t) == w and type(normalize_angle(t)) is float
+                   for t, w in zip(theta[:50].tolist(), want[:50].tolist()))
+        assert normalize_angle(theta.reshape(-1, 1)).shape == (theta.size, 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            normalize_angle(value)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            normalize_angle(np.array([0.0, value]))
 
     @given(st.floats(min_value=-20, max_value=20))
     def test_range_and_period(self, theta):
@@ -206,9 +252,10 @@ class TestScanline:
             rects.append(RotatedRect(cx=cx, cy=cy, h=h, w=w, theta=theta))
         ys, xs = np.arange(24) + 0.5, np.arange(32) + 0.5
         expected = np.zeros((24, 32), dtype=bool)
-        for corners in rects_corners(rects):
-            expected |= scanline_rows_oracle(corners, ys, xs)
-        np.testing.assert_array_equal(rasterize_union(rects_corners(rects), 24, 32), expected)
+        corners = rects_corners(rect_rows(rects))
+        for c in corners:
+            expected |= scanline_rows_oracle(c, ys, xs)
+        np.testing.assert_array_equal(rasterize_union(corners, 24, 32), expected)
         assert expected.any() and not expected.all()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -351,3 +398,39 @@ class TestClipConvex:
         assert not is_convex(np.array([[0, 0], [4, 0], [1, 1], [0, 4]], float))
         # collinear run stays convex
         assert is_convex(np.array([[0, 0], [1, 0], [2, 0], [2, 2], [0, 2]], float))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_iou_matches_numpy_scalar_clip(self, seed, monkeypatch):
+        # predictions against many-vertex band polygons, as in evaluation;
+        # Python floats give the IEEE operations of numpy float64 scalars
+        rng = np.random.default_rng(600 + seed)
+        pairs = []
+        for frame in range(4):
+            bands = tuple(SynthBand(y_center=y + float(rng.uniform(-4, 4)),
+                                    height=float(rng.uniform(12, 17)),
+                                    x_start=float(rng.uniform(8, 24)),
+                                    x_end=float(rng.uniform(196, 216)),
+                                    amplitude=float(rng.choice([0.0, 3.0])), period=150.0)
+                          for y in (40.0, 92.0))
+            maps, gts = synth_maps(SynthSpec(128, 224, bands, noise_sigma=0.02), seed=frame)
+            polys = shape_text(maps)
+            pairs += [(p, g) for p in polys for g in gts]
+            pairs += [(g, p) for p in polys for g in gts]
+        for _ in range(40):
+            a, b = random_convex(rng, n=int(rng.integers(3, 30))), random_convex(
+                rng, n=int(rng.integers(3, 30)), center=tuple(rng.uniform(-8, 8, 2)))
+            if len(a) >= 3 and len(b) >= 3:
+                pairs.append((a, b))
+        got = [polygon_iou(a, b) for a, b in pairs]
+        clipped = []
+
+        def numpy_scalars(subject, clip):
+            clipped.append(1)
+            return clip_convex_numpy_oracle(subject, clip)
+
+        monkeypatch.setattr(geometry, "clip_convex", numpy_scalars)
+        want = [polygon_iou(a, b) for a, b in pairs]
+        assert got == want
+        assert len(clipped) > 40 and any(0.5 < v < 1.0 for v in got)
+        for a, b in pairs[-20:]:
+            np.testing.assert_array_equal(clip_convex(a, b), clip_convex_numpy_oracle(a, b))

@@ -16,6 +16,8 @@ def test_lowlight_robustness_runs():
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.strip().splitlines()
-    assert header.split() == ["gamma", "sigma", "P(%)", "R(%)", "F1(%)"]
+    assert header.split() == ["gamma", "sigma", "P(%)", "R(%)", "F1(%)", "shape(ms)"]
     assert len(rows) == 1
-    assert [float(v) for v in rows[0].split()[:2]] == [1.0, 0.0]
+    values = [float(v) for v in rows[0].split()]
+    assert values[:2] == [1.0, 0.0]
+    assert len(values) == 6 and values[5] > 0.0

@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (convex_intersection_area_oracle, douglas_peucker_oracle, fps_full_scan_oracle,
-                     label8_bfs_oracle, signed_area_oracle, square_window_oracle,
+from helpers import (build_components_rect_oracle, convex_intersection_area_oracle,
+                     douglas_peucker_oracle, fps_full_scan_oracle, label8_bfs_oracle, rect_rows,
+                     rects_corners_oracle, signed_area_oracle, square_window_oracle,
                      trace_boundary_oracle, trace_contours_oracle)
 from textshaper import shaping
 from textshaper.dataio import SynthBand, SynthSpec, band_polygon, lowlight_suite, synth_maps
-from textshaper.geometry import RotatedRect, polygon_iou, rasterize, rect_corners
+from textshaper.geometry import (RotatedRect, polygon_iou, rasterize, rasterize_union, rect_corners,
+                                 rects_corners)
 from textshaper.maps import GeometryMaps
-from textshaper.shaping import (FPS_CAP, OVERLAP_COUNTER, ShapingConfig, accumulate_and_close,
-                                build_components, close_binary, connected_components, dilate,
-                                douglas_peucker, erode, extract_centers, farthest_point_sample,
+from textshaper.shaping import (FPS_CAP, MIN_RECT_HEIGHT, OVERLAP_COUNTER, ShapingConfig,
+                                accumulate_and_close, build_components, close_binary,
+                                connected_components, dilate, douglas_peucker, erode,
+                                extract_centers, farthest_point_sample,
                                 farthest_point_sample_indices, nms_baseline, shape_text,
                                 trace_boundary, trace_contours)
 
@@ -313,6 +316,20 @@ def fps_point_sets():
     ring = np.array([[math.cos(a), math.sin(a)] for a in np.arange(12) * math.pi / 6])
     sets["ring_ties"] = np.vstack([[0.0, 0.0], 20.0 * np.round(ring, 12)])
     sets["lattice_ties"] = np.column_stack([np.arange(30) % 6, np.arange(30) // 6]) * 3.0
+    # Integer pixel sets, as components come, where many candidates share a
+    # min-distance: squares and diamonds centred on a pixel, crosses, a
+    # 2 x 2 block (four-way tie for the seed), and a lattice with spacing 3.
+    gy, gx = np.mgrid[0:9, 0:9]
+    sets["int_square"] = np.column_stack([gx.ravel(), gy.ravel()])
+    diamond = np.abs(gx - 4) + np.abs(gy - 4) <= 4
+    sets["int_diamond"] = np.column_stack([gx[diamond], gy[diamond]])
+    cross = (gx == 4) | (gy == 4)
+    sets["int_cross"] = np.column_stack([gx[cross], gy[cross]])
+    sets["int_block2"] = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+    sets["int_pair"] = np.array([[5, 5], [6, 6]])
+    sets["int_lattice3"] = np.column_stack([gx.ravel(), gy.ravel()]) * 3
+    ring = np.array([(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25])
+    sets["int_circle25"] = np.vstack([[0, 0], ring])
     return sets
 
 
@@ -363,24 +380,65 @@ class TestBuildComponents:
     def test_constant_channels_axis_aligned(self):
         maps = self.make_maps()
         cfg = ShapingConfig()
-        rects = build_components(np.array([[3, 4], [8, 8]]), maps, cfg)
-        assert len(rects) == 2
-        for r in rects:
-            assert (r.cx, r.cy, r.h, r.w, r.theta) == (7.0, 9.0, 6.0, cfg.rect_width, 0.0)
+        rows = build_components(np.array([[3, 4], [8, 8]]), maps, cfg)
+        assert rows.shape == (2, 5) and rows.dtype == np.float64
+        for r in rows:
+            assert tuple(r) == (7.0, 9.0, 6.0, cfg.rect_width, 0.0)
 
     def test_rotated_channels_rotate_corners(self):
         theta = math.pi / 4
         maps = self.make_maps(theta=theta)
-        rect = build_components(np.array([[5, 5]]), maps, ShapingConfig())[0]
+        rows = build_components(np.array([[5, 5]]), maps, ShapingConfig())
         expected = rect_corners(RotatedRect(cx=7.0, cy=9.0, h=6.0, w=4.0, theta=theta))
-        np.testing.assert_allclose(rect_corners(rect), expected, atol=1e-12)
+        np.testing.assert_allclose(rects_corners(rows)[0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("h, theta, want_h, want_theta", [
+        (-2.0, 3 * math.pi / 4, MIN_RECT_HEIGHT, -math.pi / 4),
+        (0.0, -math.pi / 2, MIN_RECT_HEIGHT, math.pi / 2),
+        (MIN_RECT_HEIGHT, 7.0, MIN_RECT_HEIGHT, 7.0 - 2 * math.pi)])
+    def test_height_floor_and_angle_wrap(self, h, theta, want_h, want_theta):
+        rows = build_components(np.array([[1, 2]]), self.make_maps(h=h, theta=theta),
+                                ShapingConfig())
+        assert rows[0, 2] == want_h
+        assert rows[0, 4] == pytest.approx(want_theta, abs=1e-12)
+        assert -math.pi / 2 < rows[0, 4] <= math.pi / 2
 
     def test_empty_centers(self):
-        assert build_components(np.empty((0, 2)), self.make_maps(), ShapingConfig()) == []
+        rows = build_components(np.empty((0, 2)), self.make_maps(), ShapingConfig())
+        assert rows.shape == (0, 5)
 
     def test_out_of_frame_center_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             build_components(np.array([[99, 2]]), self.make_maps(), ShapingConfig())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", ["x", "y", "h", "theta"])
+    def test_non_finite_value_rejected(self, channel, value):
+        # the checks RotatedRect made for each rectangle, made on all rows at once
+        maps = self.make_maps()
+        poisoned = getattr(maps, channel).copy()
+        poisoned[8, 3] = value
+        maps = dataclasses.replace(maps, **{channel: poisoned})
+        with pytest.raises(ValueError, match=rf"center \(3, 8\): {channel} must be finite"):
+            build_components(np.array([[1, 1], [3, 8], [5, 5]]), maps, ShapingConfig())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_and_corners_match_rect_oracle(self, seed):
+        # random regressions: heights around the floor, angles over several
+        # periods and on the pi/2 boundaries
+        rng = np.random.default_rng(400 + seed)
+        shape = (20, 30)
+        theta = rng.uniform(-10, 10, size=shape)
+        theta.flat[::7] = rng.choice([math.pi / 2, -math.pi / 2, math.pi, 0.0, -0.0], size=86)
+        maps = GeometryMaps(text=np.zeros(shape), center=np.zeros(shape),
+                            x=rng.uniform(-5, 35, size=shape), y=rng.uniform(-5, 25, size=shape),
+                            h=rng.uniform(-0.01, 20, size=shape), w=np.zeros(shape), theta=theta)
+        centers = np.column_stack([rng.integers(0, 30, 200), rng.integers(0, 20, 200)])
+        cfg = ShapingConfig(rect_width=float(rng.uniform(1, 8)))
+        rows = build_components(centers, maps, cfg)
+        rects = build_components_rect_oracle(centers, maps, cfg.rect_width)
+        np.testing.assert_array_equal(rows, rect_rows(rects))
+        np.testing.assert_array_equal(rects_corners(rows), rects_corners_oracle(rects))
 
 
 class TestMorphology:
@@ -426,20 +484,19 @@ class TestMorphology:
 class TestAccumulateAndClose:
     def test_empty_rect_list(self):
         cfg = ShapingConfig()
-        assert not accumulate_and_close([], (10, 10), cfg).any()
+        assert not accumulate_and_close(np.empty((0, 5)), (10, 10), cfg).any()
 
     def test_union_then_close_connects(self):
         cfg = ShapingConfig(close_kernel=5, min_area=1.0)
-        rects = [RotatedRect(cx=6 + 5 * i, cy=8, h=8, w=4, theta=0.0) for i in range(4)]
-        mask = accumulate_and_close(rects, (16, 32), cfg)
+        rows = np.array([[6 + 5 * i, 8, 8, 4, 0.0] for i in range(4)], dtype=float)
+        mask = accumulate_and_close(rows, (16, 32), cfg)
         assert len(connected_components(mask)) == 1
 
     def test_single_solid_rect_closing_idempotent(self):
         cfg = ShapingConfig(close_kernel=5)
         rect = RotatedRect(cx=8, cy=8, h=6, w=10, theta=0.0)
         raw = rasterize(rect, 16, 16)
-        np.testing.assert_array_equal(accumulate_and_close([rect], (16, 16), cfg), raw)
-
+        np.testing.assert_array_equal(accumulate_and_close(rect_rows([rect]), (16, 16), cfg), raw)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_union_of_rasterized_rects(self, seed):
@@ -451,7 +508,7 @@ class TestAccumulateAndClose:
         for r in rects:
             union |= rasterize(r, 24, 40)
         cfg = ShapingConfig(close_kernel=3)
-        np.testing.assert_array_equal(accumulate_and_close(rects, (24, 40), cfg),
+        np.testing.assert_array_equal(accumulate_and_close(rect_rows(rects), (24, 40), cfg),
                                       close_binary(union, 3))
 
 
@@ -834,6 +891,103 @@ class TestShapeText:
         monkeypatch.setattr(shaping, "farthest_point_sample", recording)
         shape_text(maps)
         assert sizes and max(sizes) <= FPS_CAP
+
+
+def curved_frame(rng, n_bands, h=640, w=640):
+    """A multi-band frame as the curved-640 benchmark makes it: one
+    sinusoid band per horizontal strip, each strip synthesised alone and
+    the strips stacked, with y shifted into the frame."""
+    edges = np.linspace(0, h, n_bands + 1).round().astype(int)
+    parts = []
+    for y0, y1 in zip(edges[:-1], edges[1:]):
+        sh = int(y1 - y0)
+        height = float(rng.uniform(14.0, 24.0))
+        band = SynthBand(y_center=sh / 2, height=height, x_start=float(rng.uniform(16, 80)),
+                         x_end=float(rng.uniform(w - 80, w - 16)),
+                         amplitude=float(rng.uniform(4.0, min(20.0, sh / 2 - height / 2 - 6))),
+                         period=float(rng.uniform(90, 220)), phase=float(rng.uniform(0, 6.28)))
+        stack = synth_maps(SynthSpec(sh, w, (band,)), 0)[0].stack()
+        stack[3] += y0
+        parts.append(stack)
+    return GeometryMaps.from_stack(np.concatenate(parts, axis=1))
+
+
+def assert_matches_scalar_path(maps, cfg=ShapingConfig()):
+    """Sampling, rectangle rows, corners and polygons of shape_text equal,
+    bit for bit, those of the path the arrays replaced: a full-scan sampler,
+    one RotatedRect per sample and one tuple of corner terms per rect.
+    Returns the sample count of each component."""
+    usable = np.all([np.isfinite(m) for m in (maps.x, maps.y, maps.h, maps.theta)], axis=0)
+    samples, rects = [], []
+    for comp in extract_centers(maps.center, cfg.center_thresh):
+        cands = comp.candidates[usable[comp.candidates[:, 1], comp.candidates[:, 0]]]
+        if cands.shape[0] == 0:
+            continue
+        idx = farthest_point_sample_indices(cands, FPS_CAP, cfg.coverage_radius)
+        assert idx == fps_full_scan_oracle(cands, FPS_CAP, cfg.coverage_radius)
+        samples.append(cands[idx])
+        rects += build_components_rect_oracle(cands[idx], maps, cfg.rect_width)
+    got = shape_text(maps, cfg)
+    if not samples:
+        assert got == []
+        return []
+    rows = build_components(np.concatenate(samples), maps, cfg)
+    np.testing.assert_array_equal(rows, rect_rows(rects))
+    corners = rects_corners_oracle(rects)
+    np.testing.assert_array_equal(rects_corners(rows), corners)
+    mask = close_binary(rasterize_union(corners, *maps.shape), cfg.close_kernel)
+    want = trace_contours(mask, cfg.min_area)
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        np.testing.assert_array_equal(p.vertices, q.vertices)
+    return [len(s) for s in samples]
+
+
+class TestArrayShapingMatchesScalarPath:
+    @pytest.mark.parametrize("seed, n_bands", [(0, 4), (1, 6)])
+    def test_curved_multi_band_frames(self, seed, n_bands):
+        counts = assert_matches_scalar_path(curved_frame(np.random.default_rng(seed), n_bands))
+        assert len(counts) >= n_bands and max(counts) > 50
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.15])
+    def test_dark_frames(self, gamma):
+        for i, spec in enumerate(lowlight_suite(3, noise_sigma=0.1, gamma=gamma)):
+            counts = assert_matches_scalar_path(synth_maps(spec, seed=100 + i)[0])
+            # hundreds of components, most of them sampled by their seed alone
+            assert len(counts) > 300 and counts.count(1) > len(counts) // 2
+
+    def test_seed_only_components(self):
+        # 1- and 2-pixel components and blobs within the coverage radius of
+        # their seed end after the seed; a few longer runs do not
+        rng = np.random.default_rng(3)
+        shape = (64, 60)
+        center = np.zeros(shape)
+        center[2, 2] = center[2, 6] = 1.0  # single pixels
+        center[6, 2:4] = 1.0  # horizontal pair
+        center[6, 7] = center[7, 8] = 1.0  # diagonal pair
+        center[10:13, 2:5] = 1.0  # 3 x 3 block, corners 1.41 px from its seed
+        center[16, 2:7] = 1.0  # 5 px run: ends 2 px from the seed
+        center[20:25, 2:7] = np.eye(5)  # 5 px diagonal: ends 2.83 px away
+        center[30, 2:11] = 1.0  # 9 px run: ends exactly at the radius, 4 px
+        center[34, 2:12] = 1.0  # 10 px run: one end beyond it
+        center[40:62, 2:58] = rng.uniform(size=(22, 56)) < 0.2  # noise
+        yy, xx = np.mgrid[0:shape[0], 0:shape[1]].astype(float)
+        maps = GeometryMaps(text=center, center=center, x=xx + rng.normal(0, 0.3, shape),
+                            y=yy + rng.normal(0, 0.3, shape), h=rng.uniform(-1, 9, shape),
+                            w=np.zeros(shape), theta=rng.uniform(-4, 4, shape))
+        cfg = ShapingConfig(min_area=1.0)
+        counts = assert_matches_scalar_path(maps, cfg)
+        assert counts[:7] == [1] * 7
+        assert counts[7:9] == [3, 3]
+
+    @pytest.mark.parametrize("pts, stop", [([[4, 7]], 0.0), ([[4, 7], [5, 7]], 4.0),
+                                           ([[4, 7], [5, 8]], 1.5), ([[4, 7], [4, 7]], 0.0),
+                                           ([[0, 0], [4, 0], [0, 4], [4, 4]], 6.0)])
+    def test_seed_only_sampling_matches_full_scan(self, pts, stop):
+        for budget in (1, 2, FPS_CAP):
+            idx = farthest_point_sample_indices(np.array(pts), budget, stop)
+            assert idx == fps_full_scan_oracle(np.array(pts), budget, stop)
+            assert len(idx) == 1
 
 
 class TestNmsBaseline:
