@@ -3,10 +3,11 @@
 Pixel convention: pixel (i, j) covers the unit square [j, j+1) x [i, i+1)
 and is sampled at its center (j + 0.5, i + 0.5). Polygon containment uses
 the even-odd rule throughout, so rasterization, point-in-polygon tests and
-the supersampled IoU fallback all agree.
+the exact slab-integration IoU all agree, self-intersecting polygons
+included.
 
-_clip_ccw is the package's one Sutherland-Hodgman clipper, shared by
-clip_convex and the rotated-rect NMS baseline in shaping.
+_clip_ccw is the package's one Sutherland-Hodgman clipper, used by the
+rotated-rect NMS baseline in shaping.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import grids
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,9 @@ def signed_area(pts: np.ndarray) -> float:
 
 
 def polygon_area(pts) -> float:
+    """Absolute shoelace area. On a self-intersecting polygon it differs
+    from the even-odd area that rasterize and polygon_iou use: a bowtie's
+    two loops cancel to 0."""
     return abs(signed_area(_vertices_of(pts)))
 
 
@@ -161,15 +167,12 @@ def _clip_ccw(subject: list, clip) -> list:
     return out
 
 
-def clip_convex(subject, clip) -> np.ndarray:
-    """Sutherland-Hodgman clip by a convex polygon of either orientation, as an (m, 2) array."""
-    clip = _vertices_of(clip)
-    if signed_area(clip) < 0:
-        clip = clip[::-1]
-    # Python floats: the same IEEE operations as numpy scalars, at a
-    # fraction of the cost per operation in the clipper's inner loop.
-    out = _clip_ccw([tuple(p) for p in _vertices_of(subject).tolist()], clip.tolist())
-    return np.array(out).reshape(-1, 2)
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """Owner and value of every integer in the ranges [lo[i], hi[i]), range
+    by range, as two int64 arrays."""
+    n = hi - lo
+    owner = np.repeat(np.arange(n.size), n)
+    return owner, np.arange(owner.size) + np.repeat(lo - (n.cumsum() - n), n)
 
 
 def _packed_crossings(xy, ys, xs, shift, width, size) -> np.ndarray:
@@ -182,10 +185,8 @@ def _packed_crossings(xy, ys, xs, shift, width, size) -> np.ndarray:
     x1s, y1s = xy[0].ravel(), xy[1].ravel()
     ends = np.concatenate((xy[..., 1:], xy[..., :1]), axis=2)
     x2s, y2s = ends[0].ravel(), ends[1].ravel()
-    lo = ys.searchsorted(np.minimum(y1s, y2s), side="left")
-    cnt = ys.searchsorted(np.maximum(y1s, y2s), side="left") - lo
-    edge = np.repeat(np.arange(cnt.size), cnt)
-    row = np.arange(edge.size) - np.repeat(cnt.cumsum() - cnt - lo, cnt)
+    edge, row = _ranges(ys.searchsorted(np.minimum(y1s, y2s), side="left"),
+                        ys.searchsorted(np.maximum(y1s, y2s), side="left"))
     x1, y1 = x1s[edge], y1s[edge]
     xc = x1 + (ys[row] - y1) * (x2s[edge] - x1) / (y2s[edge] - y1)
     poly = edge // n
@@ -231,8 +232,8 @@ def _scanline_inside(xy: np.ndarray, ys: np.ndarray, xs: np.ndarray, start: np.n
     odd = (hist.cumsum(dtype=np.uint8) & 1).view(bool)
     if xy.shape[1] == 1:
         # One window: a block of rows, each row's last bin past its samples.
-        # Placing it whole is about 4x faster than the scatter below on the
-        # large windows of the raster-IoU fallback.
+        # Placing it whole is about 4x faster than the scatter below on a
+        # large window, such as that of a band polygon in synth_maps.
         out[r0[0]:r1[0], c0[0]:c1[0]] |= odd.reshape(nrows[0], width[0])[:, :-1]
         return
     # A row's last bin is never odd, as the row's crossings are even in
@@ -275,45 +276,125 @@ def rasterize(shape, h: int, w: int) -> np.ndarray:
     return rasterize_union(_vertices_of(shape)[None], h, w)
 
 
-def _raster_iou(a: np.ndarray, b: np.ndarray, scale: int = 4) -> float:
-    """IoU of two polygons by pixel counting on a supersampled joint frame."""
-    allp = np.vstack([a, b])
-    ox = math.floor(allp[:, 0].min()) - 1.0
-    oy = math.floor(allp[:, 1].min()) - 1.0
-    w = allp[:, 0].max() - ox + 1.0
-    h = allp[:, 1].max() - oy + 1.0
-    gw, gh = int(math.ceil(w * scale)), int(math.ceil(h * scale))
-    cells = max(gw, 1) * max(gh, 1)
-    if cells > 64_000_000:
-        scale = max(int(scale / math.sqrt(cells / 64_000_000)), 1)
-        gw, gh = int(math.ceil(w * scale)), int(math.ceil(h * scale))
-    off = np.array([ox, oy])
-    ma = rasterize((a - off) * scale, gh, gw)
-    mb = rasterize((b - off) * scale, gh, gw)
-    union = np.count_nonzero(ma | mb)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(ma & mb) / union
+# Peak bytes of temporaries per candidate edge pair and per slab crossing,
+# as tracemalloc measures them; with grids.CHUNK_BYTES they size
+# polygon_iou's blocks.
+_PAIR_BYTES = 96
+_CROSSING_BYTES = 80
+
+
+def _blocks(counts: np.ndarray, item_bytes: int):
+    """[start, stop) runs of consecutive items whose counts sum to at most
+    grids.CHUNK_BYTES // item_bytes, each run holding at least one item."""
+    cap = max(1, grids.CHUNK_BYTES // item_bytes)
+    cum = counts.cumsum()
+    start = 0
+    while start < counts.size:
+        base = int(cum[start - 1]) if start else 0
+        stop = max(int(cum.searchsorted(base + cap, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def _crossing_ys(seg: np.ndarray) -> np.ndarray:
+    """y of every point where two of the edges (x1, y1) -> (x2, y2), the
+    rows of seg, meet, edges of one polygon included. Candidate pairs come
+    from one sort along the longer axis of the edges' joint bounding box: in
+    the order of their lower ends on that axis, edge i pairs with each later
+    edge whose lower end lies within its extent. Pairs are tested in blocks
+    of edges."""
+    axis = int(np.ptp(seg[0]) < np.ptp(seg[1]))
+    lo = np.minimum(seg[axis], seg[axis + 2])
+    order = lo.argsort()
+    lo = lo[order]
+    end = lo.searchsorted(np.maximum(seg[axis], seg[axis + 2])[order], side="right")
+    x1, y1, x2, y2 = seg[:, order]
+    dx, dy = x2 - x1, y2 - y1
+    first = np.arange(1, lo.size + 1)
+    out = []
+    for i0, i1 in _blocks(end - first, _PAIR_BYTES):
+        i, j = _ranges(first[i0:i1], end[i0:i1])
+        i += i0
+        rx, ry = x1[j] - x1[i], y1[j] - y1[i]
+        den = dx[i] * dy[j] - dy[i] * dx[j]
+        t = rx * dy[j] - ry * dx[j]
+        u = rx * dy[i] - ry * dx[i]
+        # Signs flipped so that den >= 0: the edges meet where t / den and
+        # u / den both lie in [0, 1].
+        flip = den < 0
+        np.negative(den, out=den, where=flip)
+        np.negative(t, out=t, where=flip)
+        np.negative(u, out=u, where=flip)
+        hit = (den > 0) & (t >= 0) & (t <= den) & (u >= 0) & (u <= den)
+        i = i[hit]
+        out.append(y1[i] + t[hit] / den[hit] * dy[i])
+    return np.concatenate(out)
+
+
+def _slab_areas(seg: np.ndarray, tag: np.ndarray, ys: np.ndarray):
+    """Even-odd areas of the intersection and of the union of two polygons
+    whose edges (x1, y1) -> (x2, y2) are the rows of seg, tag 0 for the first
+    polygon and 1 for the second, between the ascending breakpoints ys.
+
+    Between two breakpoints no edge ends and no two edges cross, so the
+    length of either set along a horizontal line is linear in y, and its
+    length on the slab's mid-line times the slab's height is the slab's
+    area. Every mid-line crossing is sorted by (slab, x); the cumulative
+    parities of each polygon's crossings tell which gaps between
+    neighbouring crossings lie inside it. A slab holds an even number of
+    crossings of each polygon, so one running count over all slabs gives
+    each slab's parities, and the gap from a slab's last crossing to the
+    next slab's first lies outside both. Slabs are taken in blocks."""
+    x1, y1, x2, y2 = seg
+    height = np.diff(ys)
+    mid = ys[:-1] + height / 2
+    # Edge e crosses the mid-lines of slabs lo[e]:hi[e]; a horizontal edge
+    # crosses none.
+    lo = ys.searchsorted(np.minimum(y1, y2))
+    hi = ys.searchsorted(np.maximum(y1, y2))
+    dy = y2 - y1
+    slope = np.divide(x2 - x1, dy, out=np.zeros_like(dy), where=dy != 0)
+    per_slab = np.cumsum(np.bincount(lo, minlength=ys.size) - np.bincount(hi, minlength=ys.size))
+    inter = union = 0.0
+    for k0, k1 in _blocks(per_slab[:-1], _CROSSING_BYTES):
+        edge, slab = _ranges(np.clip(lo, k0, k1) - k0, np.clip(hi, k0, k1) - k0)
+        x = x1[edge] + (mid[k0:k1][slab] - y1[edge]) * slope[edge]
+        # Sorted by x, then stably by slab: on a block of at most 65536
+        # slabs the narrow slab index takes numpy's radix sort.
+        order = x.argsort()
+        slab = slab.astype(np.min_scalar_type(k1 - k0 - 1))[order]
+        by_slab = slab.argsort(kind="stable")
+        order = order[by_slab]
+        owner = tag[edge[order]]
+        inside_b = np.cumsum(owner, dtype=np.uint8) & 1
+        inside_a = np.cumsum(owner ^ 1, dtype=np.uint8) & 1
+        gap = np.diff(x[order]) * height[k0:k1][slab[by_slab[:-1]]]
+        inter += float(gap @ (inside_a & inside_b)[:-1])
+        union += float(gap @ (inside_a | inside_b)[:-1])
+    return inter, union
 
 
 def polygon_iou(a, b) -> float:
-    """Area IoU of two polygons (or rects) in [0, 1].
+    """Area IoU of two polygons (or rects) in [0, 1], each filled by the
+    even-odd rule, so a self-intersecting polygon covers what rasterize
+    marks inside it.
 
-    Convex operands are clipped exactly; pairs with a nonconvex member fall
-    back to 4x supersampled rasterization. Degenerate zero-area inputs give 0.
+    Exact up to rounding, by slab integration: the breakpoints are the y of
+    every vertex and of every point where two edges meet, and _slab_areas
+    integrates between them. Pairs whose bounding boxes share no area, and
+    pairs whose union has zero area, give 0. Non-finite vertices raise
+    ValueError.
     """
     pa, pb = _vertices_of(a), _vertices_of(b)
-    area_a, area_b = polygon_area(pa), polygon_area(pb)
-    if area_a == 0.0 or area_b == 0.0:
-        return 0.0
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise ValueError("polygon vertices must be finite")
     if (pa[:, 0].max() <= pb[:, 0].min() or pb[:, 0].max() <= pa[:, 0].min()
             or pa[:, 1].max() <= pb[:, 1].min() or pb[:, 1].max() <= pa[:, 1].min()):
         return 0.0
-    conv_a, conv_b = is_convex(pa), is_convex(pb)
-    if conv_a or conv_b:
-        subject, clip = (pa, pb) if conv_b else (pb, pa)
-        inter_pts = clip_convex(subject, clip)
-        inter = polygon_area(inter_pts) if inter_pts.shape[0] >= 3 else 0.0
-        union = area_a + area_b - inter
-        return min(max(inter / union, 0.0), 1.0)
-    return _raster_iou(pa, pb)
+    v = np.concatenate((pa, pb))
+    ends = np.concatenate((pa[1:], pa[:1], pb[1:], pb[:1]))
+    seg = np.concatenate((v.T, ends.T))
+    ys = np.unique(np.concatenate((v[:, 1], _crossing_ys(seg))))
+    tag = (np.arange(v.shape[0]) >= pa.shape[0]).view(np.uint8)
+    inter, union = _slab_areas(seg, tag, ys)
+    return inter / union if union > 0 else 0.0

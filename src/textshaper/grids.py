@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Byte budget of one block of conv2d's column buffer and of one chunk of
-# gated attention's score matrix. Read at call time.
+# Byte budget of one block of conv2d's column buffer, of one chunk of
+# gated attention's score matrix and of one block of polygon_iou's
+# temporaries. Read at call time.
 CHUNK_BYTES = 64 << 20
 
 

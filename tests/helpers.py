@@ -1,15 +1,14 @@
 """Shared test oracles, deliberately independent of the library internals.
 
-The rectangle and clipping oracles are the scalar forms the array code
-replaced; they use only the library's value type `RotatedRect` and its
-one Sutherland-Hodgman clipper."""
+The rectangle oracles are the scalar forms the array code replaced; they
+use only the library's value type `RotatedRect`."""
 
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from textshaper.geometry import RotatedRect, _clip_ccw
+from textshaper.geometry import RotatedRect
 
 
 def finite_diff_grad(f, x, step=1e-5):
@@ -252,8 +251,43 @@ def convex_intersection_area_oracle(a, b):
     return abs(signed_area_oracle(hull))
 
 
+def segments_meet(p1, p2, q1, q2):
+    """True when the closed segments p1p2 and q1q2 share a point, by the
+    signs of four orientation tests."""
+    def side(a, b, c):
+        v = float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        return (v > 0) - (v < 0)
+
+    o1, o2, o3, o4 = side(p1, p2, q1), side(p1, p2, q2), side(q1, q2, p1), side(q1, q2, p2)
+    if o1 == o2 == o3 == o4 == 0:
+        return all(max(min(p1[k], p2[k]), min(q1[k], q2[k])) <=
+                   min(max(p1[k], p2[k]), max(q1[k], q2[k])) for k in (0, 1))
+    return o1 * o2 <= 0 and o3 * o4 <= 0
+
+
+def is_simple_oracle(verts):
+    """True when no two edges of a closed polygon meet, except neighbours at
+    their shared vertex, and no edge folds back onto its neighbour."""
+    v = np.asarray(verts, dtype=np.float64)
+    n = len(v)
+    d = np.roll(v, -1, axis=0) - v
+    for i in range(n):
+        nxt = (i + 1) % n
+        if d[i, 0] * d[nxt, 1] == d[i, 1] * d[nxt, 0] and d[i] @ d[nxt] < 0:
+            return False
+        for j in range(i + 2, n - (i == 0)):
+            if segments_meet(v[i], v[i + 1], v[j], v[(j + 1) % n]):
+                return False
+    return True
+
+
 def exact_iou_oracle(a, b):
-    """Exact IoU for simple polygons: triangulate both, intersect triangle pairs."""
+    """Exact IoU for simple polygons: triangulate both, intersect triangle
+    pairs. Ear clipping and the shoelace union hold for simple polygons
+    only, so a self-intersecting operand raises ValueError."""
+    for name, p in (("a", a), ("b", b)):
+        if not is_simple_oracle(p):
+            raise ValueError(f"operand {name} is not a simple polygon")
     tris_a = ear_clip_triangulate(a)
     tris_b = ear_clip_triangulate(b)
     inter = sum(convex_intersection_area_oracle(ta, tb)
@@ -427,12 +461,3 @@ def rects_corners_oracle(rects):
     p = np.array([(r.cx, r.cy, r.w / 2.0, r.h / 2.0, math.cos(r.theta), math.sin(r.theta),
                    -math.sin(r.theta), math.cos(r.theta)) for r in rects]).reshape(-1, 8)
     return np.matmul(_CORNER_SIGNS * p[:, None, 2:4], p[:, 4:].reshape(-1, 2, 2)) + p[:, None, :2]
-
-
-def clip_convex_numpy_oracle(subject, clip):
-    """Sutherland-Hodgman clip fed numpy float64 scalars, vertex by vertex."""
-    clip = np.asarray(getattr(clip, "vertices", clip), dtype=np.float64)
-    subject = np.asarray(getattr(subject, "vertices", subject), dtype=np.float64)
-    if np.sum(clip[:, 0] * np.roll(clip[:, 1], -1) - np.roll(clip[:, 0], -1) * clip[:, 1]) < 0:
-        clip = clip[::-1]
-    return np.array(_clip_ccw([tuple(p) for p in subject], clip)).reshape(-1, 2)

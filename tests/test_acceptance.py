@@ -350,7 +350,7 @@ def test_c09_geometry_oracles():
             assert abs(polygon_iou(a, b) - expected) < 1e-9
             checked += 1
 
-        # 40 nonconvex pairs: supersampled fallback within 0.02 of exact
+        # 40 nonconvex pairs: exact, like the convex ones
         for _ in range(40):
             angles = np.sort(rng.uniform(0, 2 * math.pi, 10))
             radii = np.where(np.arange(10) % 2 == 0,
@@ -361,7 +361,7 @@ def test_c09_geometry_oracles():
                              rng.uniform(10, 14, 9), rng.uniform(5, 9, 9))
             b = np.column_stack([20 + radii * np.cos(angles) + rng.uniform(-4, 4),
                                  20 + radii * np.sin(angles) + rng.uniform(-4, 4)])
-            assert abs(polygon_iou(a, b) - exact_iou_oracle(a, b)) < 0.02
+            assert abs(polygon_iou(a, b) - exact_iou_oracle(a, b)) < 1e-9
 
 
 def test_c10_format_fuzzing(tmp_path):

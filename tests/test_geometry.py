@@ -1,17 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import (clip_convex_numpy_oracle, convex_hull, convex_intersection_area_oracle,
-                     exact_iou_oracle, normalize_angle_scalar_oracle, rasterize_oracle, rect_rows,
-                     rects_corners_oracle, scanline_rows_oracle, scanline_windows_oracle)
-from textshaper import geometry
-from textshaper.dataio import SynthBand, SynthSpec, synth_maps
-from textshaper.shaping import shape_text
-from textshaper.geometry import (RotatedRect, TextPolygon, clip_convex, is_convex,
+from helpers import (convex_hull, convex_intersection_area_oracle, exact_iou_oracle,
+                     is_simple_oracle, normalize_angle_scalar_oracle, rasterize_oracle, rect_rows,
+                     rects_corners_oracle, scanline_rows_oracle, scanline_windows_oracle,
+                     signed_area_oracle)
+from textshaper import geometry, grids
+from textshaper.geometry import (RotatedRect, TextPolygon, _clip_ccw, is_convex,
                                  normalize_angle, polygon_area, polygon_iou, rasterize,
                                  rasterize_union, rect_corners, rects_corners)
 
@@ -213,17 +213,6 @@ class TestScanline:
         for p, got in zip(shapes, fast):
             np.testing.assert_array_equal(got, rasterize(p, 24, 32))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_raster_iou_matches_per_row_oracle(self, seed, monkeypatch):
-        rng = np.random.default_rng(200 + seed)
-        pairs = []
-        for i in range(12):
-            a = random_scan_polygon(rng, 2 + i % 2)
-            pairs.append((a, a + rng.uniform(-2, 2, size=a.shape)))
-        fast = [geometry._raster_iou(a, b) for a, b in pairs]
-        monkeypatch.setattr(geometry, "_scanline_inside", scanline_windows_oracle)
-        assert fast == [geometry._raster_iou(a, b) for a, b in pairs]
-
     @pytest.mark.parametrize("teeth", [127, 128, 300])
     def test_many_crossings_between_two_samples(self, teeth):
         # a zigzag whose 2 * teeth edges all cross each row between the
@@ -284,6 +273,30 @@ class TestScanline:
         assert scan(pts, np.arange(8) + 0.5, np.empty(0)).shape == (8, 0)
 
 
+def star(spikes, outer=100.0, inner=60.0, phase=0.0, center=(0.0, 0.0)):
+    """Regular star polygon: 2 * spikes vertices at evenly spaced angles,
+    radii alternating between outer and inner."""
+    ang = np.arange(2 * spikes) * (math.pi / spikes) + phase
+    r = np.where(np.arange(2 * spikes) % 2 == 0, outer, inner)
+    return np.column_stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang)])
+
+
+@st.composite
+def simple_nonconvex(draw, center):
+    """Star-shaped polygon around a centre near `center`: angles evenly
+    spaced and jittered by less than half a step, so they stay increasing
+    with gaps under pi and the polygon is simple; radii alternate between
+    an outer and an inner band."""
+    k = draw(st.integers(6, 24))
+    jitter = np.array(draw(st.lists(st.floats(-0.45, 0.45), min_size=k, max_size=k)))
+    outer = np.array(draw(st.lists(st.floats(8.0, 14.0), min_size=k, max_size=k)))
+    inner = np.array(draw(st.lists(st.floats(2.0, 6.0), min_size=k, max_size=k)))
+    cx, cy = (c + draw(st.floats(-5.0, 5.0)) for c in center)
+    angles = (np.arange(k) + jitter) * (2 * math.pi / k)
+    radii = np.where(np.arange(k) % 2 == 0, outer, inner)
+    return np.column_stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)])
+
+
 class TestPolygonIou:
     def test_identical(self):
         p = np.array([[0, 0], [4, 0], [4, 3], [0, 3]], float)
@@ -302,6 +315,69 @@ class TestPolygonIou:
         line = np.array([[0, 0], [1, 0], [2, 0]], float)
         square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
         assert polygon_iou(line, square) == 0.0
+        # a collinear "polygon" across the square's interior covers nothing
+        diagonal = np.array([[0, 0], [0.5, 0.5], [1, 1]], float)
+        assert polygon_iou(diagonal, square) == 0.0
+        assert polygon_iou(diagonal, diagonal) == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_vertices_rejected(self, value):
+        square = np.array([[0, 0], [4, 0], [4, 4], [0, 4]], float)
+        bad = np.array([[1, 1], [value, 2], [3, 3], [1, 3]], float)
+        with pytest.raises(ValueError, match="finite"):
+            polygon_iou(square, bad)
+
+    def test_bowtie_with_itself(self):
+        # shoelace area 0, even-odd area 2: two triangles meeting at (1, 1)
+        bowtie = np.array([[0, 0], [2, 2], [2, 0], [0, 2]], float)
+        assert polygon_area(bowtie) == 0.0
+        assert polygon_iou(bowtie, bowtie) == 1.0
+        square = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float)
+        assert polygon_iou(bowtie, square) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bowtie_against_convex_matches_triangles(self, seed):
+        # A quadrilateral whose first and third edges cross covers, by the
+        # even-odd rule, the two triangles that meet at the crossing.
+        rng = np.random.default_rng(700 + seed)
+        p0, p1 = rng.uniform([-10, -10], [-4, -2]), rng.uniform([4, 2], [10, 10])
+        p2, p3 = rng.uniform([4, -10], [10, -2]), rng.uniform([-10, 2], [-4, 10])
+        bowtie = np.array([p0, p1, p2, p3])
+        d1, d2 = p1 - p0, p3 - p2
+        t = ((p2[0] - p0[0]) * d2[1] - (p2[1] - p0[1]) * d2[0]) / (d1[0] * d2[1] - d1[1] * d2[0])
+        x = p0 + t * d1
+        tris = [np.array([p0, x, p3]), np.array([x, p1, p2])]
+        clip = random_convex(rng, n=7, radius=8.0, center=tuple(rng.uniform(-4, 4, 2)))
+        inter = sum(convex_intersection_area_oracle(convex_hull(tri), clip) for tri in tris)
+        union = sum(abs(signed_area_oracle(tri)) for tri in tris) + polygon_area(clip) - inter
+        assert polygon_iou(bowtie, clip) == pytest.approx(inter / union, abs=1e-9)
+        assert polygon_iou(clip, bowtie[::-1]) == pytest.approx(inter / union, abs=1e-9)
+
+    def test_pentagram_leaves_its_centre_out(self):
+        # {5/2}: the even-odd rule leaves the inner pentagon out, so the
+        # pentagram and that pentagon share no area
+        outer = np.column_stack([np.cos(np.arange(5) * 0.4 * math.pi + math.pi / 2),
+                                 np.sin(np.arange(5) * 0.4 * math.pi + math.pi / 2)])
+        pentagram = outer[[0, 2, 4, 1, 3]]
+        inner_r = math.cos(0.4 * math.pi) / math.cos(0.2 * math.pi)
+        centre = -inner_r * outer
+        assert polygon_iou(pentagram, centre) == pytest.approx(0.0, abs=1e-12)
+        # the five points are the simple ten-vertex outline minus the centre
+        ring = np.vstack([outer, centre])
+        ring = ring[np.argsort(np.arctan2(ring[:, 1], ring[:, 0]))]
+        points = polygon_area(ring) - polygon_area(centre)
+        assert polygon_iou(pentagram, outer) == pytest.approx(points / polygon_area(outer),
+                                                              abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_self_intersecting_matches_fine_raster(self, seed):
+        # random, mostly self-intersecting polygons against the even-odd
+        # raster of both at 32 samples per unit
+        rng = np.random.default_rng(800 + seed)
+        a, b = (rng.uniform(0, 12, size=(int(rng.integers(4, 12)), 2)) for _ in range(2))
+        ma, mb = (rasterize(p * 32, 384, 384) for p in (a, b))
+        raster = np.count_nonzero(ma & mb) / np.count_nonzero(ma | mb)
+        assert polygon_iou(a, b) == pytest.approx(raster, abs=1e-3)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_convex_pairs_match_exact_oracle(self, seed):
@@ -316,7 +392,7 @@ class TestPolygonIou:
         assert polygon_iou(a, b) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_nonconvex_fallback_close_to_exact_oracle(self, seed):
+    def test_nonconvex_pairs_match_exact_oracle(self, seed):
         rng = np.random.default_rng(100 + seed)
         # a star-like nonconvex polygon and another spiky blob, decent sized
         angles = np.sort(rng.uniform(0, 2 * math.pi, 10))
@@ -328,12 +404,11 @@ class TestPolygonIou:
                              20 + radii_b * np.sin(angles_b) + rng.uniform(-4, 4)])
         got = polygon_iou(a, b)
         oracle = exact_iou_oracle(a, b)
-        assert abs(got - oracle) < 0.02
+        assert abs(got - oracle) < 1e-9
 
     @pytest.mark.parametrize("seed", range(12))
     def test_one_convex_operand_matches_exact_oracle(self, seed):
-        # simple (non-self-intersecting) star subject against a convex clip:
-        # exercises the clipping path with a nonconvex subject
+        # simple (non-self-intersecting) star subject against a convex clip
         rng = np.random.default_rng(400 + seed)
         k = int(rng.integers(6, 13))
         base = np.linspace(0, 2 * math.pi, k, endpoint=False)
@@ -350,6 +425,74 @@ class TestPolygonIou:
             return
         assert polygon_iou(subject, clip) == pytest.approx(
             exact_iou_oracle(subject, clip), abs=1e-9)
+
+    @given(simple_nonconvex((0.0, 0.0)), simple_nonconvex((4.0, 2.0)), st.integers(1, 23),
+           st.integers(1, 23))
+    def test_order_and_operand_invariance(self, a, b, shift_a, shift_b):
+        assume(not is_convex(a) and not is_convex(b))
+        base = polygon_iou(a, b)
+        assert 0.0 <= base <= 1.0
+        for a2, b2 in ((a[::-1], b), (a, b[::-1]), (np.roll(a, shift_a, axis=0), b),
+                       (a, np.roll(b, shift_b, axis=0)), (a[::-1], np.roll(b, shift_b, axis=0))):
+            assert abs(polygon_iou(a2, b2) - base) < 1e-12
+            assert abs(polygon_iou(b2, a2) - base) < 1e-12
+
+    def test_oracle_rejects_self_intersecting_operand(self):
+        bowtie = np.array([[0, 0], [2, 2], [2, 0], [0, 2]], float)
+        square = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float)
+        assert not is_simple_oracle(bowtie) and is_simple_oracle(square)
+        with pytest.raises(ValueError, match="not a simple polygon"):
+            exact_iou_oracle(square, bowtie)
+        # A fan: angles sorted but all within 118 degrees, so the closing
+        # edge cuts across the inner vertices, which the star generators of
+        # C09 and test_nonconvex_pairs_match_exact_oracle can in principle
+        # draw. polygon_iou still matches the even-odd raster on it.
+        ang = np.radians(np.linspace(113, 231, 10))
+        r = np.where(np.arange(10) % 2 == 0, 15.0, 5.0)
+        fan = np.column_stack([20 + r * np.cos(ang), 20 + r * np.sin(ang)])
+        star_b = star(5, outer=13.0, inner=7.0, center=(20.0, 20.0))
+        assert not is_simple_oracle(fan) and is_simple_oracle(star_b)
+        with pytest.raises(ValueError, match="operand a is not a simple polygon"):
+            exact_iou_oracle(fan, star_b)
+        ma, mb = (rasterize(p * 32, 1280, 1280) for p in (fan, star_b))
+        raster = np.count_nonzero(ma & mb) / np.count_nonzero(ma | mb)
+        assert polygon_iou(fan, star_b) == pytest.approx(raster, abs=1e-3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_agree_with_one_block(self, seed, monkeypatch):
+        # 4 KiB blocks split both the edge-pair tests and the slabs many times
+        rng = np.random.default_rng(900 + seed)
+        a = star(40, outer=float(rng.uniform(20, 30)), inner=float(rng.uniform(8, 15)),
+                 phase=float(rng.uniform(0, 1)))
+        b = star(37, outer=float(rng.uniform(20, 30)), inner=float(rng.uniform(8, 15)),
+                 center=tuple(rng.uniform(-5, 5, 2)))
+        whole = polygon_iou(a, b)
+        calls = []
+        ranges = geometry._ranges
+
+        def counted(lo, hi):
+            calls.append(1)
+            return ranges(lo, hi)
+
+        monkeypatch.setattr(grids, "CHUNK_BYTES", 4 << 10)
+        monkeypatch.setattr(geometry, "_ranges", counted)
+        assert abs(polygon_iou(a, b) - whole) < 1e-12
+        assert len(calls) > 20 and 0.1 < whole < 0.9
+
+    def test_large_star_pair_working_set(self):
+        # 3000 vertices each, 8850 slabs and 7.0M mid-line crossings, whose
+        # temporaries would take about 560 MB at once: each block's fit in
+        # grids.CHUNK_BYTES, so the call peaks below it plus the per-edge
+        # and per-slab arrays
+        a, b = star(1500), star(1500, phase=math.pi / 3000)
+        tracemalloc.start()
+        try:
+            iou = polygon_iou(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < iou < 1.0
+        assert peak < grids.CHUNK_BYTES + (4 << 20)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry(self, seed):
@@ -375,62 +518,33 @@ class TestPolygonIou:
             pytest.approx(base, abs=1e-9)
 
 
+def clipped_area(subject, clip_ccw):
+    """Area of _clip_ccw's output for array operands."""
+    out = _clip_ccw([tuple(p) for p in subject.tolist()], clip_ccw.tolist())
+    return polygon_area(np.array(out)) if len(out) >= 3 else 0.0
+
+
 class TestClipConvex:
+    """_clip_ccw, the Sutherland-Hodgman clipper of the NMS baseline."""
+
     def test_square_clip(self):
         subject = np.array([[0, 0], [4, 0], [4, 4], [0, 4]], float)
-        clip = np.array([[2, -1], [6, -1], [6, 5], [2, 5]], float)
-        out = clip_convex(subject, clip)
-        assert polygon_area(out) == pytest.approx(8.0)
+        clip_ccw = np.array([[2, -1], [6, -1], [6, 5], [2, 5]], float)
+        assert clipped_area(subject, clip_ccw) == pytest.approx(8.0)
 
     def test_no_overlap_empty(self):
         subject = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
-        clip = subject + 5.0
-        assert clip_convex(subject, clip).shape[0] == 0
+        assert _clip_ccw([tuple(p) for p in subject.tolist()], (subject + 5.0).tolist()) == []
 
     def test_clip_orientation_irrelevant(self):
+        # the subject may run either way round
         subject = np.array([[0, 0], [4, 0], [4, 4], [0, 4]], float)
-        clip = np.array([[2, 2], [2, 6], [6, 6], [6, 2]], float)  # CW order
-        out = clip_convex(subject, clip)
-        assert polygon_area(out) == pytest.approx(4.0)
+        clip_ccw = np.array([[2, 2], [6, 2], [6, 6], [2, 6]], float)
+        assert clipped_area(subject, clip_ccw) == pytest.approx(4.0)
+        assert clipped_area(subject[::-1], clip_ccw) == pytest.approx(4.0)
 
     def test_is_convex(self):
         assert is_convex(np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float))
         assert not is_convex(np.array([[0, 0], [4, 0], [1, 1], [0, 4]], float))
         # collinear run stays convex
         assert is_convex(np.array([[0, 0], [1, 0], [2, 0], [2, 2], [0, 2]], float))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_iou_matches_numpy_scalar_clip(self, seed, monkeypatch):
-        # predictions against many-vertex band polygons, as in evaluation;
-        # Python floats give the IEEE operations of numpy float64 scalars
-        rng = np.random.default_rng(600 + seed)
-        pairs = []
-        for frame in range(4):
-            bands = tuple(SynthBand(y_center=y + float(rng.uniform(-4, 4)),
-                                    height=float(rng.uniform(12, 17)),
-                                    x_start=float(rng.uniform(8, 24)),
-                                    x_end=float(rng.uniform(196, 216)),
-                                    amplitude=float(rng.choice([0.0, 3.0])), period=150.0)
-                          for y in (40.0, 92.0))
-            maps, gts = synth_maps(SynthSpec(128, 224, bands, noise_sigma=0.02), seed=frame)
-            polys = shape_text(maps)
-            pairs += [(p, g) for p in polys for g in gts]
-            pairs += [(g, p) for p in polys for g in gts]
-        for _ in range(40):
-            a, b = random_convex(rng, n=int(rng.integers(3, 30))), random_convex(
-                rng, n=int(rng.integers(3, 30)), center=tuple(rng.uniform(-8, 8, 2)))
-            if len(a) >= 3 and len(b) >= 3:
-                pairs.append((a, b))
-        got = [polygon_iou(a, b) for a, b in pairs]
-        clipped = []
-
-        def numpy_scalars(subject, clip):
-            clipped.append(1)
-            return clip_convex_numpy_oracle(subject, clip)
-
-        monkeypatch.setattr(geometry, "clip_convex", numpy_scalars)
-        want = [polygon_iou(a, b) for a, b in pairs]
-        assert got == want
-        assert len(clipped) > 40 and any(0.5 < v < 1.0 for v in got)
-        for a, b in pairs[-20:]:
-            np.testing.assert_array_equal(clip_convex(a, b), clip_convex_numpy_oracle(a, b))
