@@ -12,8 +12,7 @@ from .dataio import (AnnotationError, ImageFormatError, MapFileError, SynthBand,
                      parse_annotations, read_geometry_maps, read_map, read_pgm, synth_maps,
                      write_annotations, write_geometry_maps, write_map, write_pgm, write_ppm)
 from .evaluation import EvalReport, ImageCounts, aggregate, harmonic_f1, match_image, prf
-from .geometry import (RotatedRect, TextPolygon, normalize_angle, polygon_area, polygon_iou,
-                       rasterize, rect_corners)
+from .geometry import TextPolygon, normalize_angle, polygon_area, polygon_iou, rasterize
 from .grids import (ShapeMismatchError, bilinear_sample, conv2d, logistic, resize_bilinear,
                     row_softmax, upsample2x)
 from .losses import LossBundle, LossTargets, LossWeights, loss_seg, smooth_l1, total_loss

@@ -22,7 +22,7 @@ from .dataio import (SynthBand, SynthSpec, draw_polygon_outline, parse_annotatio
                      read_geometry_maps, read_pgm, synth_maps, write_annotations,
                      write_geometry_maps, write_ppm)
 from .evaluation import ImageCounts, aggregate, format_report, match_image, report_lines
-from .geometry import RotatedRect, TextPolygon, normalize_angle
+from .geometry import TextPolygon, normalize_angle
 from .grids import resize_bilinear
 from .pyramid import (PyramidSpec, backbone_stub, dsf_forward, geometry_maps_from_head,
                       init_dsf_params, init_stub_params)
@@ -134,12 +134,6 @@ def _bench_candidates(k: int, seed: int):
     return np.column_stack([xs, ys]), thetas, heights, scores
 
 
-def _rects_at(points, thetas, heights, width) -> list[RotatedRect]:
-    return [RotatedRect(cx=float(x), cy=float(y), h=float(h), w=width,
-                        theta=normalize_angle(float(t)))
-            for (x, y), t, h in zip(points, thetas, heights)]
-
-
 def cmd_bench(args) -> int:
     k = args.n_candidates
     if k < 1:
@@ -161,15 +155,16 @@ def cmd_bench(args) -> int:
         OVERLAP_COUNTER.reset()
         t0 = time.perf_counter()
         idx = farthest_point_sample_indices(pts, FPS_CAP, radius)
-        fps_rects = _rects_at(pts[idx], thetas[idx], heights[idx], width)
+        fps_rows = np.column_stack([pts[idx], heights[idx], np.full(len(idx), width),
+                                    normalize_angle(thetas[idx])])
         fps_times.append(time.perf_counter() - t0)
         fps_ops = OVERLAP_COUNTER.count
-        fps_kept = len(fps_rects)
+        fps_kept = len(fps_rows)
 
         OVERLAP_COUNTER.reset()
         t0 = time.perf_counter()
-        all_rects = _rects_at(pts, thetas, heights, width)
-        kept = nms_baseline(all_rects, scores, args.nms_iou)
+        rows = np.column_stack([pts, heights, np.full(k, width), normalize_angle(thetas)])
+        kept = nms_baseline(rows, scores, args.nms_iou)
         nms_times.append(time.perf_counter() - t0)
         nms_ops = OVERLAP_COUNTER.count
         nms_kept = len(kept)

@@ -284,6 +284,11 @@ def read_pgm(path) -> np.ndarray:
     if len(data) - pos > need:
         raise ImageFormatError(f"{path}: {len(data) - pos - need} trailing bytes")
     pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+    over = np.flatnonzero(pixels > maxval)
+    if over.size:
+        y, x = divmod(int(over[0]), w)
+        raise ImageFormatError(f"{path}: pixel ({x}, {y}) is {pixels[over[0]]}, "
+                               f"above maxval {maxval}")
     return pixels.reshape(h, w).astype(np.float64) / maxval
 
 
@@ -311,35 +316,58 @@ def write_ppm(path, rgb) -> None:
         fh.write(arr.tobytes())
 
 
+def _offsets_in(c0: int, step: int, extent: int) -> tuple[int, int]:
+    """Least and greatest o with 0 <= c0 + step * o < extent, step +-1."""
+    return (-c0, extent - 1 - c0) if step > 0 else (c0 - extent + 1, c0)
+
+
+def _line_pixels(x0: int, y0: int, x1: int, y1: int, h: int, w: int):
+    """The x and the y coordinates, as two lists, of the pixels of the
+    Bresenham line from (x0, y0) to (x1, y1) that lie in an h x w frame.
+
+    The line takes one step along its major axis per pixel; after t steps
+    its minor offset is floor((2 * minor * t + major) / (2 * major)), the
+    integer error walk in closed form, ties rounding up. Both offsets only
+    grow with t, so the in-frame pixels are one run of steps, found with
+    exact integer arithmetic at any distance, and only those are visited.
+    """
+    dx, dy = abs(x1 - x0), abs(y1 - y0)
+    sx, sy = (1 if x0 < x1 else -1), (1 if y0 < y1 else -1)
+    flip = dy > dx
+    if flip:
+        x0, y0, dx, dy, sx, sy, h, w = y0, x0, dy, dx, sy, sx, w, h
+    lo, hi = _offsets_in(x0, sx, w)
+    m_lo, m_hi = _offsets_in(y0, sy, h)
+    lo, hi = max(lo, 0), min(hi, dx)
+    if dy == 0:
+        if not m_lo <= 0 <= m_hi:
+            return [], []
+    else:
+        lo = max(lo, -((dx - 2 * dx * m_lo) // (2 * dy)))
+        hi = min(hi, (2 * dx * (m_hi + 1) - dx - 1) // (2 * dy))
+    den = 2 * dx or 1  # dx = 0 only for a single pixel, t = 0
+    steps = range(lo, hi + 1)
+    major = [x0 + sx * t for t in steps]
+    minor = [y0 + sy * ((2 * dy * t + dx) // den) for t in steps]
+    return (minor, major) if flip else (major, minor)
+
+
 def draw_polygon_outline(rgb: np.ndarray, polygon, color=(255, 0, 0)) -> None:
     """Draw a 1-px polygon outline into an (H, W, 3) uint8 image, in place.
 
-    Vertices are rounded to the nearest pixel; out-of-frame pixels are
-    skipped.
+    Vertices are rounded to the nearest pixel and joined by Bresenham
+    lines; only their in-frame pixels are visited, so far-off vertices
+    cost nothing.
     """
     pts = polygon.vertices if isinstance(polygon, TextPolygon) else np.asarray(polygon, float)
     h, w = rgb.shape[:2]
-    n = pts.shape[0]
-    for i in range(n):
-        x0, y0 = int(round(pts[i, 0])), int(round(pts[i, 1]))
-        x1, y1 = int(round(pts[(i + 1) % n, 0])), int(round(pts[(i + 1) % n, 1]))
-        dx, dy = abs(x1 - x0), -abs(y1 - y0)
-        sx = 1 if x0 < x1 else -1
-        sy = 1 if y0 < y1 else -1
-        err = dx + dy
-        x, y = x0, y0
-        while True:
-            if 0 <= y < h and 0 <= x < w:
-                rgb[y, x] = color
-            if x == x1 and y == y1:
-                break
-            e2 = 2 * err
-            if e2 >= dy:
-                err += dy
-                x += sx
-            if e2 <= dx:
-                err += dx
-                y += sy
+    ends = [(int(round(x)), int(round(y))) for x, y in pts.tolist()]
+    xs, ys = [], []
+    for (x0, y0), (x1, y1) in zip(ends, ends[1:] + ends[:1]):
+        ex, ey = _line_pixels(x0, y0, x1, y1, h, w)
+        xs += ex
+        ys += ey
+    rgb[ys, xs] = color
 
 
 @dataclass(frozen=True)

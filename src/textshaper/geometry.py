@@ -1,4 +1,7 @@
-"""Rotated rectangles, polygons, rasterization, and polygon IoU.
+"""Rectangle corners, polygons, rasterization, and polygon IoU.
+
+A rectangle is a row [cx, cy, h, w, theta] of a (k, 5) float array: centre,
+height, width and orientation in radians.
 
 Pixel convention: pixel (i, j) covers the unit square [j, j+1) x [i, i+1)
 and is sampled at its center (j + 0.5, i + 0.5). Polygon containment uses
@@ -7,7 +10,7 @@ the exact slab-integration IoU all agree, self-intersecting polygons
 included.
 
 _clip_ccw is the package's one Sutherland-Hodgman clipper, used by the
-rotated-rect NMS baseline in shaping.
+rectangle NMS baseline in shaping.
 """
 
 from __future__ import annotations
@@ -18,28 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-
-
-@dataclass(frozen=True)
-class RotatedRect:
-    """A text component: center, height, fixed width, orientation (radians)."""
-
-    cx: float
-    cy: float
-    h: float
-    w: float
-    theta: float
-
-    def __post_init__(self):
-        for name in ("cx", "cy", "h", "w", "theta"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"rect field {name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-        if self.h <= 0 or self.w <= 0:
-            raise ValueError(f"rect sides must be positive, got h={self.h}, w={self.w}")
-        if not (-math.pi / 2 < self.theta <= math.pi / 2):
-            raise ValueError(f"rect angle must lie in (-pi/2, pi/2], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -99,14 +80,7 @@ def rects_corners(rows) -> np.ndarray:
     return np.matmul(_CORNER_SIGNS * p[:, None, 2:4], p[:, 4:].reshape(-1, 2, 2)) + p[:, None, :2]
 
 
-def rect_corners(rect: RotatedRect) -> np.ndarray:
-    """The four corners of a rect, counter-clockwise by the shoelace sign."""
-    return rects_corners([rect.cx, rect.cy, rect.h, rect.w, rect.theta])[0]
-
-
 def _vertices_of(shape) -> np.ndarray:
-    if isinstance(shape, RotatedRect):
-        return rect_corners(shape)
     if isinstance(shape, TextPolygon):
         return shape.vertices
     v = np.asarray(shape, dtype=np.float64)
@@ -269,7 +243,7 @@ def rasterize_union(polys, h: int, w: int) -> np.ndarray:
 
 
 def rasterize(shape, h: int, w: int) -> np.ndarray:
-    """Pixel-center even-odd rasterization of a rect or polygon, clipped to h x w.
+    """Pixel-center even-odd rasterization of a polygon, clipped to h x w.
 
     Returns a bool (h, w) mask.
     """
@@ -375,7 +349,7 @@ def _slab_areas(seg: np.ndarray, tag: np.ndarray, ys: np.ndarray):
 
 
 def polygon_iou(a, b) -> float:
-    """Area IoU of two polygons (or rects) in [0, 1], each filled by the
+    """Area IoU of two polygons in [0, 1], each filled by the
     even-odd rule, so a self-intersecting polygon covers what rasterize
     marks inside it.
 

@@ -23,8 +23,8 @@ rings at once, one split depth at a time (`douglas_peucker`).
 Candidate filtering is overlap-free by construction: farthest point
 sampling never compares rectangles pairwise. A module-level counter
 instruments every rotated-rectangle overlap computation so the contrast
-with the greedy-NMS baseline, which works on `RotatedRect` values, is
-measurable.
+with the greedy-NMS baseline, which takes the same (k, 5) rectangle rows,
+is measurable.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (RotatedRect, TextPolygon, _clip_ccw, normalize_angle, rasterize_union,
-                       rect_corners, rects_corners)
+from .geometry import TextPolygon, _clip_ccw, normalize_angle, rasterize_union, rects_corners
 from .maps import GeometryMaps
 
 MIN_RECT_HEIGHT = 1e-3
@@ -133,26 +132,6 @@ def _run_components(m: np.ndarray):
     return row, start, end, np.flatnonzero(is_first), run_label
 
 
-def _label8(mask: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """8-connected labeling. Returns (label grid, per-label (n,2) x,y points).
-
-    Labels follow first-appearance scan order; each component's points are
-    sorted row-major.
-    """
-    m = np.asarray(mask, dtype=bool)
-    labels = np.full(m.shape, -1, dtype=np.int32)
-    row, start, end, first_runs, run_label = _run_components(m)
-    if row.size == 0:
-        return labels, []
-    pixel_label = np.repeat(run_label, end - start + 1)
-    labels[m] = pixel_label
-    ys, xs = np.divmod(np.flatnonzero(m), m.shape[1])
-    order = np.argsort(pixel_label, kind="stable")
-    pts = np.stack([xs, ys], axis=1).astype(np.int64)[order]
-    sizes = np.bincount(pixel_label, minlength=first_runs.size)
-    return labels, np.split(pts, np.cumsum(sizes)[:-1])
-
-
 def _component_seeds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First pixel (x, y), row-major, and pixel count of each 8-connected
     component of a boolean mask, in first-appearance scan order."""
@@ -178,8 +157,19 @@ def _merge_runs(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def connected_components(mask) -> list[np.ndarray]:
-    """Point sets (x, y) of the 8-connected components of a binary mask."""
-    return _label8(mask)[1]
+    """Point sets of the 8-connected components of a binary mask, in
+    first-appearance scan order: one (n, 2) int64 array of (x, y) pixels
+    per component, sorted row-major."""
+    m = np.asarray(mask, dtype=bool)
+    row, start, end, first_runs, run_label = _run_components(m)
+    if row.size == 0:
+        return []
+    pixel_label = np.repeat(run_label, end - start + 1)
+    ys, xs = np.divmod(np.flatnonzero(m), m.shape[1])
+    order = np.argsort(pixel_label, kind="stable")
+    pts = np.stack([xs, ys], axis=1).astype(np.int64)[order]
+    sizes = np.bincount(pixel_label, minlength=first_runs.size)
+    return np.split(pts, np.cumsum(sizes)[:-1])
 
 
 def extract_centers(center_map, thresh: float) -> list[CenterPointSet]:
@@ -582,13 +572,6 @@ def shape_text(maps: GeometryMaps, cfg: ShapingConfig | None = None) -> list[Tex
     return trace_contours(accumulate_and_close(rects, maps.shape, cfg), cfg.min_area)
 
 
-def _rect_geom(rect: RotatedRect):
-    pts = [(float(x), float(y)) for x, y in rect_corners(rect)]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return pts, (min(xs), min(ys), max(xs), max(ys)), rect.h * rect.w
-
-
 def _pair_iou(ga, gb) -> float:
     """Counted IoU of two precomputed rect geometries, bbox-rejected early."""
     OVERLAP_COUNTER.add(1)
@@ -609,22 +592,31 @@ def _pair_iou(ga, gb) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def nms_baseline(rects, scores, iou_thresh: float = 0.5) -> list[RotatedRect]:
+def nms_baseline(rows, scores, iou_thresh: float = 0.5) -> np.ndarray:
     """Greedy score-descending NMS over rotated rectangles (benchmark baseline).
 
-    Ties in score keep the earlier candidate. A candidate is suppressed when
-    its IoU with any already-kept rectangle exceeds iou_thresh. Each candidate
-    is compared against the kept set pairwise; every comparison counts toward
-    the overlap-computation counter.
+    `rows` is a (k, 5) array of rectangle rows [cx, cy, h, w, theta], as
+    `build_components` returns; the kept rows come back in the order they
+    were kept. Rows must be finite with h and w positive, or ValueError is
+    raised. Ties in score keep the earlier candidate. A candidate is
+    suppressed when its IoU with any already-kept rectangle exceeds
+    iou_thresh. Each candidate is compared against the kept set pairwise;
+    every comparison counts toward the overlap-computation counter.
     """
-    rects = list(rects)
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (len(rects),):
-        raise ValueError(f"got {len(rects)} rects but {scores.shape} scores")
-    geoms = [_rect_geom(r) for r in rects]
+    if scores.shape != (rows.shape[0],):
+        raise ValueError(f"got {rows.shape[0]} rects but {scores.shape} scores")
+    bad = ~(np.isfinite(rows).all(axis=1) & (rows[:, 2] > 0) & (rows[:, 3] > 0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"rect {i} must be finite with h, w > 0, got {rows[i].tolist()}")
+    corners = rects_corners(rows)
+    boxes = np.concatenate((corners.min(axis=1), corners.max(axis=1)), axis=1)
+    geoms = list(zip(corners.tolist(), boxes.tolist(), (rows[:, 2] * rows[:, 3]).tolist()))
     kept: list[int] = []
-    for i in np.argsort(-scores, kind="stable"):
-        gi = geoms[int(i)]
+    for i in np.argsort(-scores, kind="stable").tolist():
+        gi = geoms[i]
         if all(_pair_iou(gi, geoms[j]) <= iou_thresh for j in kept):
-            kept.append(int(i))
-    return [rects[i] for i in kept]
+            kept.append(i)
+    return rows[kept]

@@ -1,14 +1,12 @@
 """Shared test oracles, deliberately independent of the library internals.
 
-The rectangle oracles are the scalar forms the array code replaced; they
-use only the library's value type `RotatedRect`."""
+The rectangle oracles are the scalar forms the array code replaced: a
+rectangle is a tuple (cx, cy, h, w, theta) of Python floats."""
 
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from textshaper.geometry import RotatedRect
 
 
 def finite_diff_grad(f, x, step=1e-5):
@@ -437,27 +435,54 @@ def normalize_angle_scalar_oracle(theta):
 
 
 def build_components_rect_oracle(centers, maps, rect_width, min_height=1e-3):
-    """One RotatedRect per center, built one at a time from the map values
-    as Python floats; RotatedRect checks every field."""
+    """One (cx, cy, h, w, theta) tuple per center, built one at a time from
+    the map values as Python floats."""
     pts = np.asarray(centers).reshape(-1, 2)
     ix, iy = pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
     values = zip(*(m[iy, ix].tolist() for m in (maps.x, maps.y, maps.h, maps.theta)))
-    return [RotatedRect(cx=cx, cy=cy, h=max(h, min_height), w=rect_width,
-                        theta=normalize_angle_scalar_oracle(theta))
+    return [(cx, cy, max(h, min_height), float(rect_width), normalize_angle_scalar_oracle(theta))
             for cx, cy, h, theta in values]
 
 
 def rect_rows(rects):
-    """RotatedRects as (k, 5) rows [cx, cy, h, w, theta]."""
-    return np.array([[r.cx, r.cy, r.h, r.w, r.theta] for r in rects]).reshape(-1, 5)
+    """(cx, cy, h, w, theta) tuples as (k, 5) rows."""
+    return np.array(rects, dtype=np.float64).reshape(-1, 5)
 
 
 _CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
 def rects_corners_oracle(rects):
-    """(k, 4, 2) corners of a RotatedRect list: one tuple of cosine, sine
-    and half sides per rect, then the same stacked matrix product."""
-    p = np.array([(r.cx, r.cy, r.w / 2.0, r.h / 2.0, math.cos(r.theta), math.sin(r.theta),
-                   -math.sin(r.theta), math.cos(r.theta)) for r in rects]).reshape(-1, 8)
+    """(k, 4, 2) corners of (cx, cy, h, w, theta) tuples: one tuple of
+    cosine, sine and half sides per rect, then the same stacked matrix
+    product."""
+    p = np.array([(cx, cy, w / 2.0, h / 2.0, math.cos(t), math.sin(t), -math.sin(t), math.cos(t))
+                  for cx, cy, h, w, t in rects]).reshape(-1, 8)
     return np.matmul(_CORNER_SIGNS * p[:, None, 2:4], p[:, 4:].reshape(-1, 2, 2)) + p[:, None, :2]
+
+
+def draw_outline_oracle(rgb, verts, color):
+    """The per-step Bresenham walk of every edge, rounded vertices, in frame
+    or not; only the pixels inside the frame are set."""
+    h, w = rgb.shape[:2]
+    n = len(verts)
+    for i in range(n):
+        x0, y0 = int(round(verts[i][0])), int(round(verts[i][1]))
+        x1, y1 = int(round(verts[(i + 1) % n][0])), int(round(verts[(i + 1) % n][1]))
+        dx, dy = abs(x1 - x0), -abs(y1 - y0)
+        sx = 1 if x0 < x1 else -1
+        sy = 1 if y0 < y1 else -1
+        err = dx + dy
+        x, y = x0, y0
+        while True:
+            if 0 <= y < h and 0 <= x < w:
+                rgb[y, x] = color
+            if x == x1 and y == y1:
+                break
+            e2 = 2 * err
+            if e2 >= dy:
+                err += dy
+                x += sx
+            if e2 <= dx:
+                err += dx
+                y += sy

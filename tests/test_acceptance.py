@@ -18,12 +18,12 @@ import numpy as np
 
 from helpers import convex_intersection_area_oracle, exact_iou_oracle, rasterize_oracle
 from test_shaping import fps_oracle
-from textshaper.cli import _bench_candidates, _rects_at
+from textshaper.cli import _bench_candidates
 from textshaper.dataio import (AnnotationError, MapFileError, SynthBand, SynthSpec,
                                lowlight_suite, parse_annotation_text, parse_annotations,
                                read_map, synth_maps, write_map)
 from textshaper.evaluation import aggregate, harmonic_f1, match_image
-from textshaper.geometry import polygon_area, polygon_iou, rasterize
+from textshaper.geometry import normalize_angle, polygon_area, polygon_iou, rasterize
 from textshaper.grids import conv2d
 from textshaper.losses import loss_seg, smooth_l1
 from textshaper.pyramid import PyramidSpec, dsf_forward, init_dsf_params
@@ -101,6 +101,11 @@ def test_c02_fps_oracle_equivalence():
             assert got == fps_oracle(pts, budget, stop)
 
 
+def bench_rows(pts, thetas, heights, width):
+    """(k, 5) rectangle rows [cx, cy, h, w, theta] of bench candidates."""
+    return np.column_stack([pts, heights, np.full(len(pts), width), normalize_angle(thetas)])
+
+
 def test_c03_fps_vs_nms_overlap_and_speed():
     with criterion(3, "sampling path does zero overlap computations and beats NMS"):
         width = 4.0
@@ -108,10 +113,10 @@ def test_c03_fps_vs_nms_overlap_and_speed():
             pts, thetas, heights, scores = _bench_candidates(k, seed=k)
             OVERLAP_COUNTER.reset()
             idx = farthest_point_sample_indices(pts, 64, width / 2.0)
-            _rects_at(pts[idx], thetas[idx], heights[idx], width)
+            bench_rows(pts[idx], thetas[idx], heights[idx], width)
             assert OVERLAP_COUNTER.count == 0
             OVERLAP_COUNTER.reset()
-            nms_baseline(_rects_at(pts, thetas, heights, width), scores, 0.5)
+            nms_baseline(bench_rows(pts, thetas, heights, width), scores, 0.5)
             assert OVERLAP_COUNTER.count > 0
 
         fps_times, nms_times = [], []
@@ -120,12 +125,12 @@ def test_c03_fps_vs_nms_overlap_and_speed():
             OVERLAP_COUNTER.reset()
             t0 = time.perf_counter()
             idx = farthest_point_sample_indices(pts, 64, width / 2.0)
-            _rects_at(pts[idx], thetas[idx], heights[idx], width)
+            bench_rows(pts[idx], thetas[idx], heights[idx], width)
             fps_times.append(time.perf_counter() - t0)
             assert OVERLAP_COUNTER.count == 0
             OVERLAP_COUNTER.reset()
             t0 = time.perf_counter()
-            nms_baseline(_rects_at(pts, thetas, heights, width), scores, 0.5)
+            nms_baseline(bench_rows(pts, thetas, heights, width), scores, 0.5)
             nms_times.append(time.perf_counter() - t0)
             assert OVERLAP_COUNTER.count > 0
         assert statistics.median(fps_times) < statistics.median(nms_times)

@@ -218,15 +218,17 @@ class TestBench:
         assert ops[1] > ops[0]
 
     def test_overlap_count_matches_brute_force_oracle(self, capsys):
+        from helpers import normalize_angle_scalar_oracle
         from test_shaping import rect_iou_oracle
-        from textshaper.cli import _bench_candidates, _rects_at
+        from textshaper.cli import _bench_candidates
 
         k = 50
         assert run(["bench", "--n-candidates", k, "--trials", 1, "--seed", 5]) == 0
         reported = int(self.parse_kv(capsys.readouterr().out)["nms_overlap_ops"])
 
         pts, thetas, heights, scores = _bench_candidates(k, seed=5)
-        rects = _rects_at(pts, thetas, heights, 4.0)
+        rects = [(x, y, h, 4.0, normalize_angle_scalar_oracle(t)) for (x, y), t, h in zip(
+            pts.tolist(), thetas.tolist(), heights.tolist())]
         order = sorted(range(k), key=lambda i: (-scores[i], i))
         kept, expected_ops = [], 0
         for i in order:
@@ -239,6 +241,14 @@ class TestBench:
             if not hit:
                 kept.append(i)
         assert reported == expected_ops
+
+    @pytest.mark.parametrize("k, nms_ops, fps_kept, nms_kept", [(50, 1136, 39, 47),
+                                                                (300, 28206, 109, 206)])
+    def test_counts_pinned(self, capsys, k, nms_ops, fps_kept, nms_kept):
+        assert run(["bench", "--n-candidates", k, "--trials", 2, "--seed", 0]) == 0
+        kv = self.parse_kv(capsys.readouterr().out)
+        assert (kv["fps_overlap_ops"], kv["nms_overlap_ops"], kv["fps_kept"], kv["nms_kept"]) == (
+            "0", str(nms_ops), str(fps_kept), str(nms_kept))
 
     def test_fps_kept_follows_shaping_rule(self, capsys):
         from textshaper.cli import _bench_candidates

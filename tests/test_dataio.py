@@ -1,12 +1,14 @@
 import hashlib
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import draw_outline_oracle
 from textshaper.dataio import (AnnotationError, ImageFormatError, MapFileError, SynthBand,
                                SynthSpec, band_polygon, draw_polygon_outline, lowlight_suite,
                                parse_annotation_text, parse_annotations, read_geometry_maps,
@@ -241,6 +243,14 @@ class TestPortableImages:
         with pytest.raises(ImageFormatError, match="truncated"):
             read_pgm(p)
 
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5\n3 2\n100\n" + bytes([0, 100, 7, 50, 200, 255]))
+        with pytest.raises(ImageFormatError, match=r"pixel \(1, 1\) is 200, above maxval 100"):
+            read_pgm(p)
+        p.write_bytes(b"P5\n3 2\n100\n" + bytes([0, 100, 7, 50, 99, 1]))
+        assert read_pgm(p).max() == 1.0
+
     def test_ppm_output_header(self, tmp_path):
         p = tmp_path / "o.ppm"
         write_ppm(p, np.zeros((2, 3, 3), dtype=np.uint8))
@@ -261,6 +271,34 @@ class TestPortableImages:
             expected.add((y, 2))
             expected.add((y, 8))
         assert red == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_outline_matches_stepwise_walk(self, seed):
+        # integer and half-integer vertices of edges inside the frame,
+        # crossing it or missing it, in every direction
+        rng = np.random.default_rng(seed)
+        for i in range(300):
+            h, w = (int(v) for v in rng.integers(1, 24, size=2))
+            span = int(rng.choice([4, 30, 120]))
+            verts = rng.integers(-span, span + 24, size=(int(rng.integers(2, 6)), 2)).astype(float)
+            if i % 3 == 0:
+                verts += rng.choice([-0.5, 0.5, 1.5], size=verts.shape)
+            got = np.zeros((h, w, 3), dtype=np.uint8)
+            want = got.copy()
+            draw_polygon_outline(got, verts, color=(255, 0, 0))
+            draw_outline_oracle(want, verts, (255, 0, 0))
+            np.testing.assert_array_equal(got, want)
+
+    def test_far_off_vertex_draws_only_the_frame(self):
+        rgb = np.zeros((64, 64, 3), dtype=np.uint8)
+        poly = parse_annotation_text("1,1,1000000000,1,1,5\n")[0][0]
+        t0 = time.perf_counter()
+        draw_polygon_outline(rgb, poly, color=(255, 0, 0))
+        assert time.perf_counter() - t0 < 1.0
+        expected = np.zeros((64, 64), dtype=bool)
+        expected[[1, 5], 1:] = True
+        expected[1:6, 1] = True
+        np.testing.assert_array_equal(rgb[:, :, 0] == 255, expected)
 
 
 class TestSynthMaps:

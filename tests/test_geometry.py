@@ -11,9 +11,14 @@ from helpers import (convex_hull, convex_intersection_area_oracle, exact_iou_ora
                      rects_corners_oracle, scanline_rows_oracle, scanline_windows_oracle,
                      signed_area_oracle)
 from textshaper import geometry, grids
-from textshaper.geometry import (RotatedRect, TextPolygon, _clip_ccw, is_convex,
-                                 normalize_angle, polygon_area, polygon_iou, rasterize,
-                                 rasterize_union, rect_corners, rects_corners)
+from textshaper.geometry import (TextPolygon, _clip_ccw, is_convex, normalize_angle,
+                                 polygon_area, polygon_iou, rasterize, rasterize_union,
+                                 rects_corners)
+
+
+def corners_of(cx, cy, h, w, theta):
+    """The (4, 2) corners of one rectangle row."""
+    return rects_corners([cx, cy, h, w, theta])[0]
 
 
 def random_convex(rng, n=6, radius=10.0, center=(0.0, 0.0)):
@@ -28,49 +33,48 @@ def random_convex(rng, n=6, radius=10.0, center=(0.0, 0.0)):
 
 class TestRectCorners:
     def test_axis_aligned(self):
-        corners = rect_corners(RotatedRect(cx=0, cy=0, h=2, w=4, theta=0.0))
+        corners = corners_of(0, 0, 2, 4, 0.0)
         expected = {(-2.0, -1.0), (2.0, -1.0), (2.0, 1.0), (-2.0, 1.0)}
         assert {tuple(np.round(c, 12)) for c in corners} == expected
 
     def test_quarter_turn_swaps_extents(self):
-        corners = rect_corners(RotatedRect(cx=0, cy=0, h=2, w=4, theta=math.pi / 2))
+        corners = corners_of(0, 0, 2, 4, math.pi / 2)
         assert corners[:, 0].max() == pytest.approx(1.0)
         assert corners[:, 1].max() == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pairwise_distances(self, seed):
         rng = np.random.default_rng(seed)
-        r = RotatedRect(cx=float(rng.normal()), cy=float(rng.normal()),
-                        h=float(rng.uniform(1, 5)), w=float(rng.uniform(1, 5)),
-                        theta=float(rng.uniform(-math.pi / 2 + 0.01, math.pi / 2)))
-        corners = rect_corners(r)
+        cx, cy = float(rng.normal()), float(rng.normal())
+        h, w = float(rng.uniform(1, 5)), float(rng.uniform(1, 5))
+        theta = float(rng.uniform(-math.pi / 2 + 0.01, math.pi / 2))
+        corners = corners_of(cx, cy, h, w, theta)
         dists = sorted(float(np.linalg.norm(corners[i] - corners[j]))
                        for i in range(4) for j in range(i + 1, 4))
-        diag = math.hypot(r.w, r.h)
-        expected = sorted([r.h, r.h, r.w, r.w, diag, diag])
+        diag = math.hypot(w, h)
+        expected = sorted([h, h, w, w, diag, diag])
         np.testing.assert_allclose(dists, expected, atol=1e-9)
 
     def test_counter_clockwise(self):
         from textshaper.geometry import signed_area
-        r = RotatedRect(cx=3, cy=4, h=2, w=5, theta=0.7)
-        assert signed_area(rect_corners(r)) > 0
+        assert signed_area(corners_of(3, 4, 2, 5, 0.7)) > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_match_per_rect_oracle(self, seed):
         # cosine and sine are math.cos and math.sin per row, as for one
-        # RotatedRect at a time, so the corners carry the same bits
+        # rectangle at a time, so the corners carry the same bits
         rng = np.random.default_rng(200 + seed)
         k = 500
         theta = rng.uniform(-math.pi / 2, math.pi / 2, k)
         theta[::5] = rng.choice([math.pi / 2, 0.0, -0.0, 1e-300, -math.pi / 2 + 1e-15], size=100)
-        rects = [RotatedRect(cx=cx, cy=cy, h=h, w=w, theta=t) for cx, cy, h, w, t in zip(
+        rects = list(zip(
             rng.uniform(-1e3, 1e3, k).tolist(), rng.normal(0, 50, k).tolist(),
-            rng.uniform(1e-3, 40, k).tolist(), rng.uniform(0.5, 8, k).tolist(), theta.tolist())]
+            rng.uniform(1e-3, 40, k).tolist(), rng.uniform(0.5, 8, k).tolist(), theta.tolist()))
         corners = rects_corners(rect_rows(rects))
         assert corners.shape == (k, 4, 2)
         np.testing.assert_array_equal(corners, rects_corners_oracle(rects))
         for r, c in zip(rects[:20], corners):
-            np.testing.assert_array_equal(rect_corners(r), c)
+            np.testing.assert_array_equal(corners_of(*r), c)
 
     def test_no_rows(self):
         assert rects_corners(np.empty((0, 5))).shape == (0, 4, 2)
@@ -116,14 +120,6 @@ class TestNormalizeAngle:
 
 
 class TestRectValidation:
-    def test_rejects_nonpositive_sides(self):
-        with pytest.raises(ValueError, match="positive"):
-            RotatedRect(cx=0, cy=0, h=0, w=1, theta=0)
-
-    def test_rejects_out_of_range_angle(self):
-        with pytest.raises(ValueError, match="angle"):
-            RotatedRect(cx=0, cy=0, h=1, w=1, theta=2.0)
-
     def test_polygon_needs_three_vertices(self):
         with pytest.raises(ValueError, match="3 vertices"):
             TextPolygon(np.array([[0.0, 0.0], [1.0, 1.0]]))
@@ -131,33 +127,30 @@ class TestRectValidation:
 
 class TestRasterize:
     def test_axis_aligned_popcount(self):
-        r = RotatedRect(cx=8, cy=6, h=5, w=9, theta=0.0)
-        mask = rasterize(r, 16, 16)
+        mask = rasterize(corners_of(8, 6, 5, 9, 0.0), 16, 16)
         count = int(mask.sum())
-        area = r.h * r.w
-        perim = 2 * (r.h + r.w)
+        area = 5 * 9
+        perim = 2 * (5 + 9)
         assert abs(count - area) <= perim
 
     def test_fully_outside_is_empty(self):
-        r = RotatedRect(cx=100, cy=100, h=4, w=4, theta=0.3)
-        assert not rasterize(r, 16, 16).any()
+        assert not rasterize(corners_of(100, 100, 4, 4, 0.3), 16, 16).any()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_pixel_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        r = RotatedRect(cx=float(rng.uniform(2, 14)), cy=float(rng.uniform(2, 14)),
-                        h=float(rng.uniform(1, 8)), w=float(rng.uniform(1, 8)),
-                        theta=float(rng.uniform(-1.5, 1.5)))
-        mask = rasterize(r, 16, 16)
-        np.testing.assert_array_equal(mask, rasterize_oracle(rect_corners(r), 16, 16))
+        corners = corners_of(float(rng.uniform(2, 14)), float(rng.uniform(2, 14)),
+                               float(rng.uniform(1, 8)), float(rng.uniform(1, 8)),
+                               float(rng.uniform(-1.5, 1.5)))
+        mask = rasterize(corners, 16, 16)
+        np.testing.assert_array_equal(mask, rasterize_oracle(corners, 16, 16))
 
     @pytest.mark.parametrize("scale", [1, 2, 4, 8])
     def test_area_converges_with_resolution(self, scale):
-        r = RotatedRect(cx=10, cy=10, h=6, w=11, theta=0.6)
-        corners = rect_corners(r) * scale
+        corners = corners_of(10, 10, 6, 11, 0.6) * scale
         mask = rasterize(corners, 20 * scale, 20 * scale)
         est = mask.sum() / scale ** 2
-        area, perim = r.h * r.w, 2 * (r.h + r.w)
+        area, perim = 6 * 11, 2 * (6 + 11)
         assert abs(est - area) / area < 2 * perim / area / scale
 
 
@@ -171,10 +164,9 @@ def random_scan_polygon(rng, i):
         w, h = rng.integers(0, 12, size=2) * 0.5
         return np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
     if kind == 1:
-        return rect_corners(RotatedRect(cx=float(rng.uniform(-4, 36)),
-                                        cy=float(rng.uniform(-4, 28)),
-                                        h=float(rng.uniform(0.1, 15)), w=float(rng.uniform(0.1, 8)),
-                                        theta=float(rng.uniform(-1.57, 1.57))))
+        return corners_of(float(rng.uniform(-4, 36)), float(rng.uniform(-4, 28)),
+                            float(rng.uniform(0.1, 15)), float(rng.uniform(0.1, 8)),
+                            float(rng.uniform(-1.57, 1.57)))
     n = int(rng.integers(3, 30))
     if kind == 2:
         angles = np.sort(rng.uniform(0, 2 * math.pi, n))
@@ -238,7 +230,7 @@ class TestScanline:
             cx = float(rng.integers(-12, 45)) + (0.5 * (h % 2 == 0) if i % 5 == 0 else
                                                  float(rng.uniform(0, 1)))
             cy = float(rng.integers(-12, 37)) + float(rng.uniform(0, 1))
-            rects.append(RotatedRect(cx=cx, cy=cy, h=h, w=w, theta=theta))
+            rects.append((cx, cy, h, w, theta))
         ys, xs = np.arange(24) + 0.5, np.arange(32) + 0.5
         expected = np.zeros((24, 32), dtype=bool)
         corners = rects_corners(rect_rows(rects))

@@ -4,6 +4,7 @@ cycle here fails when a name it patches or a call it makes goes away."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from textshaper.evaluation import prf
@@ -18,12 +19,16 @@ def perfbench_on_path():
     sys.path.remove(PERFBENCH)
 
 
-def traced_cycle(name, work):
-    """Set up a workload and run its first slot cycle under the tracer."""
+def traced_cycle(name, work, distinct_cycles=None):
+    """Set up a workload and run its first slot cycle under the tracer.
+    `distinct_cycles`, when given, limits the set-up to that many cycles of
+    frames; the first cycle's frames do not depend on it."""
     from tracing import Tracer
     from workloads import WORKLOADS
 
     wl = WORKLOADS[name](work, seed=1)
+    if distinct_cycles is not None:
+        wl.distinct_cycles = distinct_cycles
     wl.setup()
     tracer = Tracer()
     tracer.install()
@@ -48,6 +53,20 @@ def test_traced_straight_224_cycle_passes_checks(tmp_path, perfbench_on_path):
     assert tracer.counts["shaping.rects"] > 0
     assert tracer.counts["shaping.centers_sampled"] > 0
     assert tracer.counts["shaping.fps_budget_hits"] == 0
+
+
+def test_traced_curved_640_cycle_with_poisoned_slot_passes_checks(tmp_path, perfbench_on_path):
+    # The last slot of the cycle is the poisoned copy of the frame before
+    # it, made at set-up by MapsWorkload.poisoned.
+    wl, tracer, results = traced_cycle("curved-640", tmp_path / "work", distinct_cycles=1)
+    assert wl.errors == []
+    assert wl.slot_kinds[-1] == "poison" and wl.slots[-1].poison_x is not None
+    assert not np.isfinite(wl.slots[-1].poison_x).all()
+    assert all(r.ok for r in results)
+    f1 = prf(sum(r.tp for r in results), sum(r.fp for r in results),
+             sum(r.fn for r in results))[2]
+    assert f1 == 1.0
+    assert tracer.counts["shaping.overlap_ops"] == 0
 
 
 def test_traced_forward_img_canary_cycle_passes_checks(tmp_path, perfbench_on_path):

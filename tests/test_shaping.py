@@ -13,8 +13,7 @@ from helpers import (build_components_rect_oracle, convex_intersection_area_orac
                      trace_boundary_oracle, trace_contours_oracle)
 from textshaper import shaping
 from textshaper.dataio import SynthBand, SynthSpec, band_polygon, lowlight_suite, synth_maps
-from textshaper.geometry import (RotatedRect, polygon_iou, rasterize, rasterize_union, rect_corners,
-                                 rects_corners)
+from textshaper.geometry import polygon_iou, rasterize, rasterize_union, rects_corners
 from textshaper.maps import GeometryMaps
 from textshaper.shaping import (FPS_CAP, MIN_RECT_HEIGHT, OVERLAP_COUNTER, ShapingConfig,
                                 accumulate_and_close, build_components, close_binary,
@@ -73,7 +72,8 @@ def erode_oracle(mask, k):
 
 
 def rect_iou_oracle(a, b):
-    ca, cb = rect_corners(a), rect_corners(b)
+    """IoU of two (cx, cy, h, w, theta) rectangles."""
+    ca, cb = rects_corners_oracle([a, b])
     inter = convex_intersection_area_oracle(ca, cb)
     union = abs(signed_area_oracle(ca)) + abs(signed_area_oracle(cb)) - inter
     return inter / union if union > 0 else 0.0
@@ -144,10 +144,8 @@ class TestExtractCenters:
 
 
 def assert_labels_match_bfs(mask):
-    labels, comps = shaping._label8(mask)
-    want_labels, want_comps = label8_bfs_oracle(mask)
-    np.testing.assert_array_equal(labels, want_labels)
-    assert labels.dtype == want_labels.dtype
+    comps = connected_components(mask)
+    want_comps = label8_bfs_oracle(mask)[1]
     assert len(comps) == len(want_comps)
     for got, want in zip(comps, want_comps):
         np.testing.assert_array_equal(got, want)
@@ -160,7 +158,7 @@ class TestLabel8:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 11)])
     def test_empty(self, shape):
         assert_labels_match_bfs(np.zeros(shape, dtype=bool))
-        assert shaping._label8(np.zeros(shape, dtype=bool))[1] == []
+        assert connected_components(np.zeros(shape, dtype=bool)) == []
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 11)])
     def test_full(self, shape):
@@ -182,7 +180,7 @@ class TestLabel8:
         assert_labels_match_bfs(m)
         board = (np.add.outer(np.arange(8), np.arange(8)) % 2).astype(bool)
         assert_labels_match_bfs(board)
-        assert len(shaping._label8(board)[1]) == 1
+        assert len(connected_components(board)) == 1
 
     def test_runs_touching_only_at_run_ends(self):
         m = np.zeros((4, 12), dtype=bool)
@@ -191,7 +189,7 @@ class TestLabel8:
         m[2, 0:4] = True  # one column short of touching the run above
         m[3, 8:10] = True  # touches row 1 only, which is two rows up
         assert_labels_match_bfs(m)
-        assert len(shaping._label8(m)[1]) == 3
+        assert len(connected_components(m)) == 3
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_masks(self, seed):
@@ -389,7 +387,7 @@ class TestBuildComponents:
         theta = math.pi / 4
         maps = self.make_maps(theta=theta)
         rows = build_components(np.array([[5, 5]]), maps, ShapingConfig())
-        expected = rect_corners(RotatedRect(cx=7.0, cy=9.0, h=6.0, w=4.0, theta=theta))
+        expected = rects_corners_oracle([(7.0, 9.0, 6.0, 4.0, theta)])[0]
         np.testing.assert_allclose(rects_corners(rows)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("h, theta, want_h, want_theta", [
@@ -414,7 +412,7 @@ class TestBuildComponents:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("channel", ["x", "y", "h", "theta"])
     def test_non_finite_value_rejected(self, channel, value):
-        # the checks RotatedRect made for each rectangle, made on all rows at once
+        # one finiteness check on all rows at once
         maps = self.make_maps()
         poisoned = getattr(maps, channel).copy()
         poisoned[8, 3] = value
@@ -494,19 +492,19 @@ class TestAccumulateAndClose:
 
     def test_single_solid_rect_closing_idempotent(self):
         cfg = ShapingConfig(close_kernel=5)
-        rect = RotatedRect(cx=8, cy=8, h=6, w=10, theta=0.0)
-        raw = rasterize(rect, 16, 16)
-        np.testing.assert_array_equal(accumulate_and_close(rect_rows([rect]), (16, 16), cfg), raw)
+        rows = np.array([[8.0, 8.0, 6.0, 10.0, 0.0]])
+        raw = rasterize(rects_corners(rows)[0], 16, 16)
+        np.testing.assert_array_equal(accumulate_and_close(rows, (16, 16), cfg), raw)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_union_of_rasterized_rects(self, seed):
         rng = np.random.default_rng(seed)
-        rects = [RotatedRect(cx=float(rng.uniform(-6, 46)), cy=float(rng.uniform(-6, 30)),
-                             h=float(rng.uniform(0.5, 14)), w=float(rng.uniform(0.5, 6)),
-                             theta=float(rng.uniform(-1.5, 1.5))) for _ in range(30)]
+        rects = [(float(rng.uniform(-6, 46)), float(rng.uniform(-6, 30)),
+                  float(rng.uniform(0.5, 14)), float(rng.uniform(0.5, 6)),
+                  float(rng.uniform(-1.5, 1.5))) for _ in range(30)]
         union = np.zeros((24, 40), dtype=bool)
-        for r in rects:
-            union |= rasterize(r, 24, 40)
+        for c in rects_corners_oracle(rects):
+            union |= rasterize(c, 24, 40)
         cfg = ShapingConfig(close_kernel=3)
         np.testing.assert_array_equal(accumulate_and_close(rect_rows(rects), (24, 40), cfg),
                                       close_binary(union, 3))
@@ -915,7 +913,8 @@ def curved_frame(rng, n_bands, h=640, w=640):
 def assert_matches_scalar_path(maps, cfg=ShapingConfig()):
     """Sampling, rectangle rows, corners and polygons of shape_text equal,
     bit for bit, those of the path the arrays replaced: a full-scan sampler,
-    one RotatedRect per sample and one tuple of corner terms per rect.
+    one (cx, cy, h, w, theta) tuple per sample and one tuple of corner terms
+    per rect.
     Returns the sample count of each component."""
     usable = np.all([np.isfinite(m) for m in (maps.x, maps.y, maps.h, maps.theta)], axis=0)
     samples, rects = [], []
@@ -992,36 +991,47 @@ class TestArrayShapingMatchesScalarPath:
 
 class TestNmsBaseline:
     def test_single_rect_kept(self):
-        r = RotatedRect(cx=5, cy=5, h=4, w=3, theta=0.1)
-        assert nms_baseline([r], [0.7]) == [r]
+        r = [5.0, 5.0, 4.0, 3.0, 0.1]
+        np.testing.assert_array_equal(nms_baseline([r], [0.7]), [r])
 
     def test_identical_rects_highest_score_survives(self):
-        r1 = RotatedRect(cx=5, cy=5, h=4, w=3, theta=0.1)
-        r2 = RotatedRect(cx=5, cy=5, h=4, w=3, theta=0.1)
-        kept = nms_baseline([r2, r1], [0.8, 0.9])
-        assert kept == [r1]
+        r = [5.0, 5.0, 4.0, 3.0, 0.1]
+        kept = nms_baseline(np.array([r, r]), [0.8, 0.9])
+        assert kept.shape == (1, 5)
+        np.testing.assert_array_equal(kept, [r])
+        rows = np.array([r, [5.0, 5.0, 4.0, 3.0, 0.2]])
+        np.testing.assert_array_equal(nms_baseline(rows, [0.8, 0.9]), rows[1:])
+
+    def test_no_rows(self):
+        assert nms_baseline(np.empty((0, 5)), []).shape == (0, 5)
 
     def test_counter_positive(self):
         rng = np.random.default_rng(5)
-        rects = [RotatedRect(cx=float(rng.uniform(0, 20)), cy=float(rng.uniform(0, 20)),
-                             h=4.0, w=3.0, theta=0.0) for _ in range(8)]
+        rects = [(float(rng.uniform(0, 20)), float(rng.uniform(0, 20)), 4.0, 3.0, 0.0)
+                 for _ in range(8)]
         OVERLAP_COUNTER.reset()
-        nms_baseline(rects, list(rng.uniform(size=8)))
+        nms_baseline(rect_rows(rects), list(rng.uniform(size=8)))
         assert OVERLAP_COUNTER.count > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_implementation(self, seed):
         rng = np.random.default_rng(seed)
         n = 12
-        rects = [RotatedRect(cx=float(rng.uniform(2, 18)), cy=float(rng.uniform(2, 18)),
-                             h=float(rng.uniform(2, 8)), w=float(rng.uniform(2, 8)),
-                             theta=float(rng.uniform(-1.5, 1.5)))
-                 for _ in range(n)]
+        rects = [(float(rng.uniform(2, 18)), float(rng.uniform(2, 18)), float(rng.uniform(2, 8)),
+                  float(rng.uniform(2, 8)), float(rng.uniform(-1.5, 1.5))) for _ in range(n)]
         scores = list(rng.uniform(size=n))
-        kept = nms_baseline(rects, scores, iou_thresh=0.4)
-        expected = [rects[i] for i in nms_oracle(rects, scores, 0.4)]
-        assert kept == expected
+        kept = nms_baseline(rect_rows(rects), scores, iou_thresh=0.4)
+        expected = rect_rows([rects[i] for i in nms_oracle(rects, scores, 0.4)])
+        np.testing.assert_array_equal(kept, expected)
 
     def test_score_length_mismatch(self):
         with pytest.raises(ValueError, match="scores"):
-            nms_baseline([RotatedRect(cx=0, cy=0, h=1, w=1, theta=0.0)], [0.5, 0.2])
+            nms_baseline([[0.0, 0.0, 1.0, 1.0, 0.0]], [0.5, 0.2])
+
+    @pytest.mark.parametrize("col, value", [(0, math.nan), (1, math.inf), (4, -math.inf),
+                                            (2, 0.0), (3, 0.0), (2, -1.0), (3, math.nan)])
+    def test_bad_row_rejected(self, col, value):
+        rows = np.array([[5.0, 5.0, 4.0, 3.0, 0.1]] * 3)
+        rows[1, col] = value
+        with pytest.raises(ValueError, match=r"rect 1 must be finite with h, w > 0"):
+            nms_baseline(rows, [0.3, 0.2, 0.1])
