@@ -84,8 +84,11 @@ def _eval_one(task) -> ImageCounts:
         gts, flags = parse_annotations(gt_path)
     else:
         gts, flags = [], []
-    tp, fp, fn = match_image(preds, gts, iou_thresh,
-                             ignore=flags if use_ignore else None)
+    try:
+        tp, fp, fn = match_image(preds, gts, iou_thresh,
+                                 ignore=flags if use_ignore else None)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
     return ImageCounts(name=name, tp=tp, fp=fp, fn=fn)
 
 

@@ -255,6 +255,19 @@ def rasterize(shape, h: int, w: int) -> np.ndarray:
 # polygon_iou's blocks.
 _PAIR_BYTES = 96
 _CROSSING_BYTES = 80
+# Work budgets of polygon_iou's two quadratic stages for one pair: ten full
+# blocks each, about 7.0M candidate edge pairs and 8.4M mid-line
+# crossings, some 2 s in all. Text polygons use a small share of one
+# block. Fixed when the module loads, so a smaller CHUNK_BYTES set later
+# shrinks the blocks, not the budgets.
+_MAX_PAIRS = 10 * grids.CHUNK_BYTES // _PAIR_BYTES
+_MAX_CROSSINGS = 10 * grids.CHUNK_BYTES // _CROSSING_BYTES
+
+
+def _check_budget(count: int, budget: int, what: str) -> None:
+    if count > budget:
+        raise ValueError(f"polygon pair needs {count} {what}, over polygon_iou's budget of "
+                         f"{budget}")
 
 
 def _blocks(counts: np.ndarray, item_bytes: int):
@@ -285,6 +298,7 @@ def _crossing_ys(seg: np.ndarray) -> np.ndarray:
     x1, y1, x2, y2 = seg[:, order]
     dx, dy = x2 - x1, y2 - y1
     first = np.arange(1, lo.size + 1)
+    _check_budget(int((end - first).sum()), _MAX_PAIRS, "candidate edge pairs")
     out = []
     for i0, i1 in _blocks(end - first, _PAIR_BYTES):
         i, j = _ranges(first[i0:i1], end[i0:i1])
@@ -329,6 +343,7 @@ def _slab_areas(seg: np.ndarray, tag: np.ndarray, ys: np.ndarray):
     dy = y2 - y1
     slope = np.divide(x2 - x1, dy, out=np.zeros_like(dy), where=dy != 0)
     per_slab = np.cumsum(np.bincount(lo, minlength=ys.size) - np.bincount(hi, minlength=ys.size))
+    _check_budget(int(per_slab[:-1].sum()), _MAX_CROSSINGS, "mid-line crossings")
     inter = union = 0.0
     for k0, k1 in _blocks(per_slab[:-1], _CROSSING_BYTES):
         edge, slab = _ranges(np.clip(lo, k0, k1) - k0, np.clip(hi, k0, k1) - k0)
@@ -357,7 +372,9 @@ def polygon_iou(a, b) -> float:
     every vertex and of every point where two edges meet, and _slab_areas
     integrates between them. Pairs whose bounding boxes share no area, and
     pairs whose union has zero area, give 0. Non-finite vertices raise
-    ValueError.
+    ValueError, as does a pair whose candidate edge pairs or mid-line
+    crossings exceed their budget (_MAX_PAIRS, _MAX_CROSSINGS): spiky
+    polygons with thousands of vertices make both grow quadratically.
     """
     pa, pb = _vertices_of(a), _vertices_of(b)
     if not (np.isfinite(pa).all() and np.isfinite(pb).all()):

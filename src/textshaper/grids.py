@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 # Byte budget of one block of conv2d's column buffer, of one chunk of
-# gated attention's score matrix and of one block of polygon_iou's
-# temporaries. Read at call time.
+# gated attention's score matrix, of one block of polygon_iou's
+# temporaries and of one block of synth_maps' tile bounds. Read at call
+# time, except by polygon_iou's work budgets, which are fixed at import.
 CHUNK_BYTES = 64 << 20
 
 

@@ -486,3 +486,16 @@ def draw_outline_oracle(rgb, verts, color):
             if e2 <= dx:
                 err += dx
                 y += sy
+
+
+def nearest_sample_oracle(sx, sy, h, w):
+    """(h, w) index of the centreline sample nearest to each pixel centre by
+    brute force: one (w, S) squared-distance matrix per pixel row against
+    every sample, first argmin, so ties go to the lowest index."""
+    px = np.arange(w) + 0.5
+    py = np.arange(h) + 0.5
+    out = np.empty((h, w), dtype=np.intp)
+    dx2_cols = (px[:, None] - sx[None, :]) ** 2
+    for i in range(h):
+        out[i] = np.argmin(dx2_cols + (py[i] - sy[None, :]) ** 2, axis=1)
+    return out

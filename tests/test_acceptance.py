@@ -163,15 +163,38 @@ def test_c05_low_light_robustness():
         assert report.f1 >= 0.95, f"degraded-suite F1 {100 * report.f1:.1f}% below 95%"
 
 
+def c11_spec(h, w):
+    """C11's frame: 4 sinusoid bands spread over an h x w frame, sigma 0.05."""
+    bands = tuple(SynthBand(y_center=float(y), height=16.0, x_start=16.0, x_end=w - 16.0,
+                            amplitude=10.0, period=120.0 + 20.0 * i, phase=0.7 * i)
+                  for i, y in enumerate(np.linspace(0, h, 6)[1:-1]))
+    return SynthSpec(frame_h=h, frame_w=w, bands=bands, noise_sigma=0.05)
+
+
+def c12_spec(gap):
+    """C12's frame: two straight 14 px bands whose edges are gap px apart."""
+    offset = (14.0 + gap) / 2
+    bands = tuple(SynthBand(y_center=64.0 + side * offset, height=14.0, x_start=14.0,
+                            x_end=210.0) for side in (-1, 1))
+    return SynthSpec(frame_h=128, frame_w=224, bands=bands)
+
+
+def dark_spec(size, n_bands, gamma):
+    """C14's and C15's frame: n_bands sinusoid bands 16 px high, one every
+    size / n_bands px from size / (2 n_bands), at contrast gamma, sigma 0.1."""
+    pitch = size / n_bands
+    bands = tuple(SynthBand(y_center=pitch / 2 + pitch * i, height=16.0, x_start=16.0,
+                            x_end=size - 16.0, amplitude=10.0, period=120.0 + 20.0 * i,
+                            phase=0.7 * i)
+                  for i in range(n_bands))
+    return SynthSpec(size, size, bands, noise_sigma=0.1, gamma=gamma)
+
+
 def test_c11_large_frame_multi_band_shaping():
     with criterion(11, "default shaping of 4 sinusoid bands at 256x448 and 640x640",
                    budget_s=60.0):
         for h, w in ((256, 448), (640, 640)):
-            bands = tuple(SynthBand(y_center=float(y), height=16.0, x_start=16.0, x_end=w - 16.0,
-                                    amplitude=10.0, period=120.0 + 20.0 * i, phase=0.7 * i)
-                          for i, y in enumerate(np.linspace(0, h, 6)[1:-1]))
-            maps, gt = synth_maps(SynthSpec(frame_h=h, frame_w=w, bands=bands,
-                                            noise_sigma=0.05), seed=3)
+            maps, gt = synth_maps(c11_spec(h, w), seed=3)
             counts = match_image(shape_text(maps), gt, 0.5)
             assert counts == (4, 0, 0), f"{h}x{w}: TP/FP/FN {counts}, want (4, 0, 0)"
 
@@ -182,10 +205,7 @@ def test_c12_merge_distance_of_two_bands():
     with criterion(12, "two straight bands merge at a 4 px gap, stay apart at 5 px",
                    budget_s=30.0):
         for gap, n_polys, want in ((4, 1, (0, 1, 2)), (5, 2, (2, 0, 0))):
-            offset = (14.0 + gap) / 2
-            bands = tuple(SynthBand(y_center=64.0 + side * offset, height=14.0, x_start=14.0,
-                                    x_end=210.0) for side in (-1, 1))
-            maps, gt = synth_maps(SynthSpec(frame_h=128, frame_w=224, bands=bands), seed=0)
+            maps, gt = synth_maps(c12_spec(gap), seed=0)
             polys = shape_text(maps)
             assert len(polys) == n_polys, f"gap {gap} px: {len(polys)} polygons"
             counts = match_image(polys, gt, 0.5)
@@ -210,17 +230,24 @@ def test_c14_dark_large_frames_keep_bands_whole():
     # components per frame, most of them sampled by their seed alone; each
     # band must still come out as one polygon. The budget covers shaping
     # and matching, not the synthesis of the maps.
-    bands = tuple(SynthBand(y_center=64.0 + 128.0 * i, height=16.0, x_start=16.0, x_end=624.0,
-                            amplitude=10.0, period=120.0 + 20.0 * i, phase=0.7 * i)
-                  for i in range(5))
-    frames = {gamma: synth_maps(SynthSpec(640, 640, bands, noise_sigma=0.1, gamma=gamma), seed=100)
-              for gamma in (0.3, 0.15)}
+    frames = {gamma: synth_maps(dark_spec(640, 5, gamma), seed=100) for gamma in (0.3, 0.15)}
     with criterion(14, "shaping of dark 640x640 frames (gamma 0.3 and 0.15, sigma 0.1)",
                    budget_s=10.0):
         counts = [(f"gamma {gamma}", *match_image(shape_text(maps), gt, 0.5))
                   for gamma, (maps, gt) in frames.items()]
         report = aggregate(counts)
         assert report.f1 >= 0.95, f"dark 640x640 F1 {100 * report.f1:.1f}% below 95%: {counts}"
+
+
+def test_c15_dark_1280_frame_keeps_bands_whole():
+    # A frame four times C14's area: nine dark centre lines, each still one
+    # polygon under the default settings. As in C14, the budget covers
+    # shaping and matching, not the synthesis of the maps.
+    maps, gt = synth_maps(dark_spec(1280, 9, 0.15), seed=100)
+    with criterion(15, "shaping of a dark 1280x1280 frame (gamma 0.15, sigma 0.1)",
+                   budget_s=20.0):
+        counts = match_image(shape_text(maps), gt, 0.5)
+        assert counts == (9, 0, 0), f"dark 1280x1280: TP/FP/FN {counts}, want (9, 0, 0)"
 
 
 def finite_diff(f, x, step=1e-5):

@@ -184,6 +184,28 @@ class TestEval:
         assert code == 2
         assert "missing" in capsys.readouterr().err
 
+    def test_coordinate_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        pred_dir, gt_dir = self.make_dirs(tmp_path)
+        (gt_dir / "img1.txt").write_text("1,1," + "9" * 400 + ",1,1,5\n")
+        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "img1.txt:1: token 3 (400 digits) is too large" in captured.err
+
+    def test_pair_over_iou_budget_exits_2(self, tmp_path, capsys):
+        from test_geometry import jittered_star
+
+        pred_dir, gt_dir = self.make_dirs(tmp_path)
+        spiky = [TextPolygon(np.round(100 * jittered_star(2000, seed, center=c) + 20000))
+                 for seed, c in ((0, (0.0, 0.0)), (1, (7.0, -4.0)))]
+        write_annotations(pred_dir / "img1.txt", spiky[:1])
+        write_annotations(gt_dir / "img1.txt", spiky[1:])
+        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: img1.txt: polygon pair needs 8418459 candidate edge pairs, over " \
+               "polygon_iou's budget of" in captured.err
+
     @pytest.mark.parametrize("flag, value", [("--iou", 0), ("--iou", 1.5), ("--iou", -0.2),
                                              ("--jobs", 0), ("--jobs", -3)])
     def test_bad_threshold_or_jobs_is_usage_error(self, tmp_path, capsys, flag, value):

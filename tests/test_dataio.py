@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
 import math
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import draw_outline_oracle
+from helpers import draw_outline_oracle, nearest_sample_oracle
+from test_acceptance import c11_spec, c12_spec, dark_spec
+from textshaper import dataio, grids
 from textshaper.dataio import (AnnotationError, ImageFormatError, MapFileError, SynthBand,
                                SynthSpec, band_polygon, draw_polygon_outline, lowlight_suite,
                                parse_annotation_text, parse_annotations, read_geometry_maps,
@@ -45,6 +49,15 @@ class TestAnnotations:
     def test_negative_coordinate(self):
         with pytest.raises(AnnotationError, match="negative"):
             parse_annotation_text("0,0,-4,0,4,2,0,2\n")
+
+    def test_coordinate_too_large_for_a_float(self):
+        with pytest.raises(AnnotationError, match=r":2: token 3 \(400 digits\) is too large"):
+            parse_annotation_text("0,0,4,0,4,2\n1,1," + "9" * 400 + ",1,1,5\n")
+
+    def test_large_coordinates_round_to_nearest_float(self):
+        big = 10 ** 300
+        polys, _ = parse_annotation_text(f"0,0,{2 ** 53 + 1},0,{big},2\n")
+        np.testing.assert_array_equal(polys[0].vertices, [[0, 0], [2.0 ** 53, 0], [1e300, 2]])
 
     def test_round_trip_random_integer_polygons(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -390,3 +403,112 @@ class TestSynthMaps:
         ys = poly.vertices[:, 1]
         assert ys.min() == pytest.approx(14.0)
         assert ys.max() == pytest.approx(26.0)
+
+
+def band_samples(spec):
+    """(xs, ys, thetas, hs) of every centreline sample of a spec, in
+    synth_maps' order."""
+    return [np.concatenate(c) for c in zip(*(dataio._band_samples(b) for b in spec.bands))]
+
+
+def assert_maps_match_oracle(spec, seed, monkeypatch):
+    """synth_maps equals the brute-force nearest-sample search: the x, y, h
+    and theta channels of the noise-free spec are the oracle's nearest
+    samples, and all seven channels of the spec itself equal those built
+    around the oracle's index, noise included."""
+    xs, ys, thetas, hs = band_samples(spec)
+    nearest = nearest_sample_oracle(xs, ys, spec.frame_h, spec.frame_w)
+    clean, _ = synth_maps(dataclasses.replace(spec, noise_sigma=0.0), seed)
+    for got, values in ((clean.x, xs), (clean.y, ys), (clean.h, hs), (clean.theta, thetas)):
+        assert np.array_equal(got, values[nearest])
+    maps, _ = synth_maps(spec, seed)
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_nearest_sample", lambda *_: nearest)
+        want, _ = synth_maps(spec, seed)
+    assert np.array_equal(maps.stack(), want.stack())
+    return nearest
+
+
+class TestNearestSample:
+    """synth_maps' tiled search against nearest_sample_oracle."""
+
+    # C05's 50 frames (their noise-free x, y, h and theta are C04's) and C13's 6
+    @pytest.mark.parametrize("n,noise_sigma,gamma", [(50, 0.05, 0.3), (6, 0.1, 0.15)])
+    def test_lowlight_suite(self, n, noise_sigma, gamma, monkeypatch):
+        for i, spec in enumerate(lowlight_suite(n, noise_sigma=noise_sigma, gamma=gamma)):
+            assert_maps_match_oracle(spec, 100 + i, monkeypatch)
+
+    @pytest.mark.parametrize("h,w", [(256, 448), (640, 640)])
+    def test_c11_specs(self, h, w, monkeypatch):
+        assert_maps_match_oracle(c11_spec(h, w), 3, monkeypatch)
+
+    def test_blocks_of_tile_rows(self, monkeypatch):
+        # 64 KiB is less than one row of 14 tiles' bounds against C11's
+        # 1668 samples at 256x448, so each of the 8 tile rows is its own
+        # block
+        monkeypatch.setattr(grids, "CHUNK_BYTES", 64 << 10)
+        assert_maps_match_oracle(c11_spec(256, 448), 3, monkeypatch)
+
+    @pytest.mark.parametrize("gap", [4, 5])
+    def test_c12_specs(self, gap, monkeypatch):
+        assert_maps_match_oracle(c12_spec(gap), 0, monkeypatch)
+
+    def test_c14_spec(self, monkeypatch):
+        assert_maps_match_oracle(dark_spec(640, 5, 0.15), 100, monkeypatch)
+
+    def test_one_band_strip(self, monkeypatch):
+        # one band per 128-row strip of a 640 px frame, as the curved-640
+        # benchmark workload builds its frames
+        band = SynthBand(y_center=64.0, height=21.0, x_start=47.0, x_end=598.0, amplitude=17.0,
+                         period=143.0, phase=2.1)
+        assert_maps_match_oracle(SynthSpec(128, 640, (band,), noise_sigma=0.05), 0, monkeypatch)
+
+    @pytest.mark.parametrize("h,w", [(31, 47), (37, 75), (70, 129), (107, 640)])
+    def test_sides_not_a_multiple_of_the_tile(self, h, w, monkeypatch):
+        assert h % dataio._TILE or w % dataio._TILE
+        bands = (SynthBand(y_center=h / 2, height=h / 3, x_start=2.0, x_end=w - 3.0,
+                           amplitude=h / 10, period=w / 2.3, phase=0.4),
+                 SynthBand(y_center=h / 3, height=4.0, x_start=w / 3, x_end=w / 2))
+        assert_maps_match_oracle(SynthSpec(h, w, bands, noise_sigma=0.1, gamma=0.5), 7,
+                                 monkeypatch)
+
+    def test_bands_touching_the_frame_edges(self, monkeypatch):
+        bands = (SynthBand(y_center=5.0, height=10.0, x_start=0.0, x_end=96.0),
+                 SynthBand(y_center=60.0, height=8.0, x_start=0.0, x_end=40.0, amplitude=3.0,
+                           period=30.0),
+                 SynthBand(y_center=91.0, height=10.0, x_start=50.0, x_end=96.0))
+        assert_maps_match_oracle(SynthSpec(96, 96, bands, noise_sigma=0.05), 1, monkeypatch)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_ties_go_to_the_lower_index(self, order, monkeypatch):
+        # two straight bands mirrored about pixel-centre row 32, the first
+        # row of the second tile row: each pixel there is as far from a
+        # sample of either band, and the band listed first must win
+        bands = tuple(SynthBand(y_center=32.5 + side * 8.0, height=8.0, x_start=4.0,
+                                x_end=92.0) for side in (-order, order))
+        spec = SynthSpec(64, 96, bands)
+        xs, ys, _, _ = band_samples(spec)
+        first = xs.size // 2
+        assert np.array_equal(xs[:first], xs[first:])
+        assert np.array_equal(32.5 - ys[:first], ys[first:] - 32.5)
+        nearest = assert_maps_match_oracle(spec, 0, monkeypatch)
+        assert np.all(nearest[32] < first)
+        maps, _ = synth_maps(spec, 0)
+        assert np.all(maps.y[32] == 32.5 - order * 8.0)
+
+    def test_working_set_bounded_by_chunk_bytes(self, monkeypatch):
+        # a 1280x1280 frame with 9 bands has 1600 tiles and 11 241 samples:
+        # its bound matrices would take 144 MB each at once; in blocks the
+        # search peaks at one block plus its (h, w) result and the four
+        # (tiles along an axis, samples) distance arrays
+        spec = dark_spec(1280, 9, 0.15)
+        xs, ys, _, _ = band_samples(spec)
+        monkeypatch.setattr(grids, "CHUNK_BYTES", 8 << 20)
+        tracemalloc.start()
+        try:
+            dataio._nearest_sample(xs, ys, 1280, 1280)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fixed = 1280 * 1280 * 8 + 4 * 40 * xs.size * 8
+        assert peak < grids.CHUNK_BYTES + fixed + (4 << 20)

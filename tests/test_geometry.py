@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -273,6 +274,16 @@ def star(spikes, outer=100.0, inner=60.0, phase=0.0, center=(0.0, 0.0)):
     return np.column_stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang)])
 
 
+def jittered_star(spikes, seed, center=(0.0, 0.0)):
+    """Star polygon: 2 * spikes vertices at evenly spaced angles, outer radii
+    drawn from [80, 100] and inner ones from [40, 60]."""
+    rng = np.random.default_rng(seed)
+    ang = np.arange(2 * spikes) * (math.pi / spikes)
+    r = np.where(np.arange(2 * spikes) % 2 == 0, rng.uniform(80, 100, 2 * spikes),
+                 rng.uniform(40, 60, 2 * spikes))
+    return np.column_stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang)])
+
+
 @st.composite
 def simple_nonconvex(draw, center):
     """Star-shaped polygon around a centre near `center`: angles evenly
@@ -485,6 +496,24 @@ class TestPolygonIou:
             tracemalloc.stop()
         assert 0.5 < iou < 1.0
         assert peak < grids.CHUNK_BYTES + (4 << 20)
+
+    def test_spiky_pair_over_edge_pair_budget_fails_fast(self):
+        # 8.4M candidate edge pairs, which would cut 138.5M mid-line
+        # crossings: refused before any pair is tested
+        a, b = jittered_star(2000, 0), jittered_star(2000, 1, center=(7.0, -4.0))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"needs 8417256 candidate edge pairs, over "
+                                             r"polygon_iou's budget of \d+"):
+            polygon_iou(a, b)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_spiky_pair_over_crossing_budget(self):
+        # 4.7M candidate edge pairs fit the budget, but their 58k meeting
+        # points cut 59.6M mid-line crossings
+        a, b = jittered_star(1500, 0), jittered_star(1500, 1, center=(7.0, -4.0))
+        with pytest.raises(ValueError, match=r"needs 59624914 mid-line crossings, over "
+                                             r"polygon_iou's budget of \d+"):
+            polygon_iou(a, b)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry(self, seed):
