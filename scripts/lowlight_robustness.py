@@ -15,7 +15,7 @@ import statistics
 import time
 
 from textshaper.dataio import lowlight_suite, synth_maps
-from textshaper.evaluation import aggregate, match_image
+from textshaper.evaluation import ImageCounts, aggregate, match_image
 from textshaper.shaping import shape_text
 
 
@@ -37,7 +37,7 @@ def main():
                 t0 = time.perf_counter()
                 polys = shape_text(maps)
                 times.append(time.perf_counter() - t0)
-                counts.append((f"img{i}", *match_image(polys, gt, args.iou)))
+                counts.append(ImageCounts(f"img{i}", *match_image(polys, gt, args.iou)))
             rep = aggregate(counts)
             print(f"{gamma:>6.2f} {sigma:>6.2f} {100 * rep.precision:>7.1f} "
                   f"{100 * rep.recall:>7.1f} {100 * rep.f1:>7.1f} "

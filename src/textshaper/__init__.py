@@ -14,12 +14,12 @@ from .dataio import (AnnotationError, ImageFormatError, MapFileError, SynthBand,
 from .evaluation import EvalReport, ImageCounts, aggregate, harmonic_f1, match_image, prf
 from .geometry import TextPolygon, normalize_angle, polygon_area, polygon_iou, rasterize
 from .grids import (ShapeMismatchError, bilinear_sample, conv2d, logistic, resize_bilinear,
-                    row_softmax, upsample2x)
-from .losses import LossBundle, LossTargets, LossWeights, loss_seg, smooth_l1, total_loss
+                    upsample2x)
+from .losses import LossBundle, LossTargets, loss_seg, smooth_l1, total_loss
 from .maps import GeometryMaps
 from .pyramid import (AttentionParams, DsfParams, PyramidSpec, backbone_stub, dsf_forward,
                       geometry_maps_from_head, init_dsf_params, init_stub_params,
-                      load_dsf_params, modulation_block, save_dsf_params)
+                      modulation_block)
 from .shaping import (OVERLAP_COUNTER, CenterPointSet, ShapingConfig, accumulate_and_close,
                       build_components, extract_centers, farthest_point_sample, nms_baseline,
                       shape_text, trace_contours)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import grids
 from .geometry import TextPolygon, rasterize
-from .maps import GeometryMaps
+from .maps import CHANNELS, GeometryMaps
 
 MAP_MAGIC = b"TMAP"
 MAP_VERSION = 1
@@ -61,8 +61,12 @@ def parse_annotation_text(text: str, source: str = "<string>"):
             try:
                 v = int(tok)
             except ValueError:
+                v = None
+            # int() also takes "1_0" and non-ASCII digits such as "\u0663"; a
+            # coordinate is an optional sign and ASCII digits only.
+            if v is None or "_" in tok or not tok.isascii():
                 raise AnnotationError(
-                    f"{source}:{lineno}: token {col} ({tok!r}) is not an integer") from None
+                    f"{source}:{lineno}: token {col} ({tok!r}) is not an integer")
             if v < 0:
                 raise AnnotationError(
                     f"{source}:{lineno}: token {col} is negative ({v}); coordinates must be >= 0")
@@ -110,6 +114,8 @@ def write_annotations(path, polygons, ignore=None) -> None:
     lines = []
     for poly, flag in zip(polygons, flags):
         pts = poly.vertices if isinstance(poly, TextPolygon) else np.asarray(poly, float)
+        if not np.isfinite(pts).all():
+            raise AnnotationError(f"{path}: non-finite vertex in polygon {pts.tolist()}")
         ints = np.rint(pts).astype(np.int64).reshape(-1)
         if np.any(ints < 0):
             raise AnnotationError(f"{path}: negative coordinate in polygon {pts.tolist()}")
@@ -237,14 +243,10 @@ def write_map(path, grids) -> None:
 
 
 def write_geometry_maps(path, maps: GeometryMaps) -> None:
-    from .maps import CHANNELS
-
     write_map(path, {name: getattr(maps, name) for name in CHANNELS})
 
 
 def read_geometry_maps(path) -> GeometryMaps:
-    from .maps import CHANNELS
-
     sections = read_map(path)
     missing = [name for name in CHANNELS if name not in sections]
     if missing:
@@ -597,16 +599,15 @@ def synth_maps(spec: SynthSpec, seed: int = 0) -> tuple[GeometryMaps, list[TextP
     return maps, gt_polys
 
 
-def lowlight_suite(n: int, noise_sigma: float = 0.0, gamma: float = 1.0,
-                   master_seed: int = 1) -> list[SynthSpec]:
+def lowlight_suite(n: int, noise_sigma: float = 0.0, gamma: float = 1.0) -> list[SynthSpec]:
     """The low-light robustness suite: n 128x224 specs cycling through one
     straight band, one sinusoidal band (amplitude 4-12) and a sinusoidal
     band above a straight one, all degraded by the same (gamma,
-    noise_sigma). The bands depend only on master_seed and the index, so
-    every setting sees the same geometry. Callers render spec i with
-    synth_maps seed 100 + i.
+    noise_sigma). The bands come from one fixed seed and depend only on
+    the index, so every setting sees the same geometry. Callers render
+    spec i with synth_maps seed 100 + i.
     """
-    rng = np.random.default_rng(master_seed)
+    rng = np.random.default_rng(1)
     specs = []
     for i in range(n):
         kind = i % 3

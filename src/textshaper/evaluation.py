@@ -87,26 +87,16 @@ def match_image(preds, gts, iou_thresh: float = 0.5, ignore=None) -> tuple[int, 
 
 
 def aggregate(per_image) -> EvalReport:
-    """Sum per-image counts, then derive the metrics from the totals.
+    """Sum ImageCounts, then derive the metrics from the totals.
 
-    Accepts ImageCounts or (tp, fp, fn) / (name, tp, fp, fn) tuples; the
-    fold is order-independent.
+    The fold is order-independent.
     """
-    counts: list[ImageCounts] = []
-    for item in per_image:
-        if isinstance(item, ImageCounts):
-            counts.append(item)
-        elif len(item) == 4:
-            counts.append(ImageCounts(str(item[0]), int(item[1]), int(item[2]), int(item[3])))
-        else:
-            tp, fp, fn = item
-            counts.append(ImageCounts(f"image{len(counts)}", int(tp), int(fp), int(fn)))
+    counts = tuple(per_image)
     tp = sum(c.tp for c in counts)
     fp = sum(c.fp for c in counts)
     fn = sum(c.fn for c in counts)
     p, r, f1 = prf(tp, fp, fn)
-    return EvalReport(tp=tp, fp=fp, fn=fn, precision=p, recall=r, f1=f1,
-                      per_image=tuple(counts))
+    return EvalReport(tp=tp, fp=fp, fn=fn, precision=p, recall=r, f1=f1, per_image=counts)
 
 
 def format_report(report: EvalReport) -> str:

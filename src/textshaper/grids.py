@@ -115,13 +115,9 @@ def bilinear_sample(x, points) -> np.ndarray:
     return out
 
 
-def row_softmax(x) -> np.ndarray:
-    """Softmax over the last axis of an (N,M) grid, max-subtracted for stability."""
-    return row_softmax_inplace(as_grid(x, 2).copy())
-
-
 def row_softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """row_softmax computed in the (N,M) float64 array s itself; returns s."""
+    """Softmax over the last axis of the (N,M) float64 array s, computed in
+    s itself and max-subtracted for stability; returns s."""
     s -= s.max(axis=1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=1, keepdims=True)

@@ -1,8 +1,8 @@
 """Detector loss heads with analytic gradients w.r.t. the predicted maps.
 
-The joint objective is the plain sum of a segmentation term (text + center
-cross-entropy), smooth-L1 height and angle regression terms restricted to
-text pixels, and the two spatial-constraint terms.
+The joint objective is the unweighted sum of a segmentation term (text +
+center cross-entropy), smooth-L1 height and angle regression terms
+restricted to text pixels, and the two spatial-constraint terms.
 """
 
 from __future__ import annotations
@@ -40,18 +40,16 @@ def loss_seg(pred_text, pred_center, gt_text, gt_center):
     return lt + lc, gt_grad, gc_grad
 
 
-def smooth_l1(pred, gt, beta: float = 1.0, region=None) -> tuple[float, np.ndarray]:
+def smooth_l1(pred, gt, region=None) -> tuple[float, np.ndarray]:
     """Smooth-L1 regression loss averaged over the supervised region.
 
-    Per element: 0.5*e^2/beta for |e| < beta, else |e| - 0.5*beta. An empty
-    region yields (0, zero gradient), signalling no supervised pixels.
+    Per element: 0.5*e^2 for |e| < 1, else |e| - 0.5. An empty region
+    yields (0, zero gradient), signalling no supervised pixels.
     """
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(gt, dtype=np.float64)
     if p.shape != t.shape:
         raise ShapeMismatchError(f"prediction shape {p.shape} != target shape {t.shape}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
     sel = np.ones(p.shape, dtype=bool) if region is None else np.asarray(region, dtype=bool)
     if sel.shape != p.shape:
         raise ShapeMismatchError(f"region shape {sel.shape} != prediction shape {p.shape}")
@@ -60,9 +58,9 @@ def smooth_l1(pred, gt, beta: float = 1.0, region=None) -> tuple[float, np.ndarr
     if n == 0:
         return 0.0, grad
     e = p[sel] - t[sel]
-    small = np.abs(e) < beta
-    vals = np.where(small, 0.5 * e * e / beta, np.abs(e) - 0.5 * beta)
-    grad[sel] = np.where(small, e / beta, np.sign(e)) / n
+    small = np.abs(e) < 1.0
+    vals = np.where(small, 0.5 * e * e, np.abs(e) - 0.5)
+    grad[sel] = np.where(small, e, np.sign(e)) / n
     return float(vals.sum() / n), grad
 
 
@@ -77,20 +75,10 @@ class LossBundle:
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    seg: float = 1.0
-    h: float = 1.0
-    theta: float = 1.0
-    ss: float = 1.0
-    sr: float = 1.0
-
-
-@dataclass(frozen=True)
 class LossTargets:
     """Ground truth for one image: binary maps, regression maps, position mask.
 
-    region defaults to the binary text map; height and angle are supervised
-    only there.
+    Height and angle are supervised only where text > 0.5.
     """
 
     text: np.ndarray
@@ -98,28 +86,16 @@ class LossTargets:
     h: np.ndarray
     theta: np.ndarray
     mask: np.ndarray
-    region: np.ndarray | None = None
-
-    def regression_region(self) -> np.ndarray:
-        if self.region is not None:
-            return np.asarray(self.region, dtype=bool)
-        return np.asarray(self.text, dtype=np.float64) > 0.5
 
 
-def total_loss(pred: GeometryMaps, recon, aux_feat, main_feat, targets: LossTargets,
-               weights: LossWeights | None = None) -> LossBundle:
+def total_loss(pred: GeometryMaps, recon, aux_feat, main_feat,
+               targets: LossTargets) -> LossBundle:
     """Joint loss over one image's predictions; total is the exact component sum."""
-    wgt = weights or LossWeights()
-    region = targets.regression_region()
-    seg, _, _ = loss_seg(pred.text, pred.center, targets.text, targets.center)
-    lh, _ = smooth_l1(pred.h, targets.h, region=region)
-    lth, _ = smooth_l1(pred.theta, targets.theta, region=region)
-    lss, _ = loss_ss(aux_feat, main_feat)
-    lsr, _ = loss_sr(recon, targets.mask)
-    l_seg = wgt.seg * seg
-    l_h = wgt.h * lh
-    l_theta = wgt.theta * lth
-    l_ss = wgt.ss * lss
-    l_sr = wgt.sr * lsr
+    region = np.asarray(targets.text, dtype=np.float64) > 0.5
+    l_seg, _, _ = loss_seg(pred.text, pred.center, targets.text, targets.center)
+    l_h, _ = smooth_l1(pred.h, targets.h, region=region)
+    l_theta, _ = smooth_l1(pred.theta, targets.theta, region=region)
+    l_ss, _ = loss_ss(aux_feat, main_feat)
+    l_sr, _ = loss_sr(recon, targets.mask)
     return LossBundle(l_seg=l_seg, l_h=l_h, l_theta=l_theta, l_ss=l_ss, l_sr=l_sr,
                       total=l_seg + l_h + l_theta + l_ss + l_sr)

@@ -1,13 +1,15 @@
 """Feature pyramid with parallel standard/snake convolution branches fused
 under gated self-attention, plus the seven-channel detection head.
 
-Top-down traversal runs coarsest to finest. At each level the incoming
-lateral features are concatenated with the upsampled previous output, pushed
-through a standard 3x3 convolution and a paired-axis snake convolution in
-parallel, and the concatenated branch outputs are re-weighted by a gated
-self-attention over per-pixel tokens before a 1x1 projection back to the
-level width. The finest level feeds a head emitting text/center score maps
-(logistic squashed) and the five rotated-rectangle regression channels.
+The pyramid has four levels at the backbone stub's strides (1/32, 1/16,
+1/8, 1/4), set by one channel width. Top-down traversal runs coarsest to
+finest. At each level the incoming lateral features are concatenated with
+the upsampled previous output, pushed through a standard 3x3 convolution
+and a paired-axis snake convolution in parallel, and the concatenated
+branch outputs are re-weighted by a gated self-attention over per-pixel
+tokens before a 1x1 projection back to the level width. The finest level
+feeds a head emitting text/center score maps (logistic squashed) and the
+five rotated-rectangle regression channels.
 
 Beyond the feature maps themselves, the working set does not grow with
 the input: the convolutions' im2col blocks and the attention's score
@@ -30,6 +32,9 @@ from .maps import CHANNELS, GeometryMaps
 from .snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
 
 INIT_SCALE = 0.05
+LEVELS = 4
+SNAKE_LENGTH = 9
+STUB_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -59,29 +64,15 @@ class AttentionParams:
 
 @dataclass(frozen=True)
 class PyramidSpec:
-    """Ordered pyramid levels (scale, channels), coarsest resolution first."""
+    """Channel width shared by all LEVELS pyramid levels."""
 
-    levels: tuple[tuple[float, int], ...] = (
-        (1 / 32, 256), (1 / 16, 256), (1 / 8, 256), (1 / 4, 256))
+    channels: int = 256
 
     def __post_init__(self):
-        allowed = (1 / 4, 1 / 8, 1 / 16, 1 / 32)
-        scales = [s for s, _ in self.levels]
-        chans = {c for _, c in self.levels}
-        if not scales:
-            raise ValueError("pyramid needs at least one level")
-        for s in scales:
-            if not any(math.isclose(s, a) for a in allowed):
-                raise ValueError(f"scale {s} not one of {allowed}")
-        if any(b <= a for a, b in zip(scales, scales[1:])):
-            raise ValueError("scales must strictly increase in resolution (coarsest first)")
-        if len(chans) != 1:
-            raise ValueError(f"channel count must be uniform across levels, got {sorted(chans)}")
-        object.__setattr__(self, "levels", tuple((float(s), int(c)) for s, c in self.levels))
-
-    @property
-    def channels(self) -> int:
-        return self.levels[0][1]
+        if (isinstance(self.channels, bool) or not isinstance(self.channels, (int, np.integer))
+                or self.channels < 1):
+            raise ValueError(f"channels must be a positive int, got {self.channels!r}")
+        object.__setattr__(self, "channels", int(self.channels))
 
 
 @dataclass(frozen=True)
@@ -110,22 +101,20 @@ class DsfOutput:
     head: np.ndarray
 
 
-def init_dsf_params(spec: PyramidSpec, seed: int = 0, kernel_length: int = 9) -> DsfParams:
+def init_dsf_params(spec: PyramidSpec, seed: int = 0) -> DsfParams:
     """Seeded uniform [-INIT_SCALE, INIT_SCALE] parameters for every block."""
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
-    blocks = []
-    for _, c in spec.levels:
-        d = 2 * c
-        blocks.append(BlockParams(
-            conv_w=u(c, d, 3, 3), conv_b=u(c),
-            snake_h=SnakeKernel(HORIZONTAL, u(c, d, kernel_length)),
-            snake_v=SnakeKernel(VERTICAL, u(c, d, kernel_length)),
-            attention=AttentionParams(w_q=u(d, d), w_k=u(d, d), b_q=u(d), b_k=u(d)),
-            proj_w=u(c, d, 1, 1), proj_b=u(c),
-        ))
     c = spec.channels
-    return DsfParams(blocks=tuple(blocks), head_w=u(len(CHANNELS), c, 3, 3),
+    d = 2 * c
+    blocks = tuple(BlockParams(
+        conv_w=u(c, d, 3, 3), conv_b=u(c),
+        snake_h=SnakeKernel(HORIZONTAL, u(c, d, SNAKE_LENGTH)),
+        snake_v=SnakeKernel(VERTICAL, u(c, d, SNAKE_LENGTH)),
+        attention=AttentionParams(w_q=u(d, d), w_k=u(d, d), b_q=u(d), b_k=u(d)),
+        proj_w=u(c, d, 1, 1), proj_b=u(c),
+    ) for _ in range(LEVELS))
+    return DsfParams(blocks=blocks, head_w=u(len(CHANNELS), c, 3, 3),
                      head_b=u(len(CHANNELS)))
 
 
@@ -198,46 +187,45 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
 def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = None) -> DsfOutput:
     """Fuse a backbone pyramid top-down and emit the seven head channels.
 
-    backbone_feats are (B, C, H, W) grids ordered coarsest first per the
-    spec, each finer level exactly doubling the previous spatial size. The
-    head maps live at the finest scale; channels 0-1 (text, center) are
-    squashed to (0, 1).
+    backbone_feats are LEVELS (B, C, H, W) grids with C = spec.channels,
+    coarsest first, each finer level exactly doubling the previous spatial
+    size. The head maps live at the finest scale; channels 0-1 (text,
+    center) are squashed to (0, 1).
     """
     spec = spec or PyramidSpec()
     feats = [as_grid(f, 4) for f in backbone_feats]
-    if len(feats) != len(spec.levels):
+    if len(feats) != LEVELS:
+        raise ShapeMismatchError(f"expected {LEVELS} pyramid levels, got {len(feats)}")
+    if len(params.blocks) != LEVELS:
         raise ShapeMismatchError(
-            f"expected {len(spec.levels)} pyramid levels, got {len(feats)}")
-    if len(params.blocks) != len(spec.levels):
-        raise ShapeMismatchError(
-            f"parameter set has {len(params.blocks)} blocks for {len(spec.levels)} levels")
+            f"parameter set has {len(params.blocks)} blocks for {LEVELS} levels")
     f = None
     fused = []
-    for i, (feat, block, (scale, c)) in enumerate(zip(feats, params.blocks, spec.levels)):
-        if feat.shape[1] != c:
+    for i, (feat, block) in enumerate(zip(feats, params.blocks)):
+        if feat.shape[1] != spec.channels:
             raise ShapeMismatchError(
-                f"level {i} (scale {scale:g}): expected {c} channels, got {feat.shape[1]}")
+                f"level {i}: expected {spec.channels} channels, got {feat.shape[1]}")
         prev = np.zeros_like(feat) if f is None else upsample2x(f)
         if prev.shape[2:] != feat.shape[2:]:
             raise ShapeMismatchError(
-                f"level {i} (scale {scale:g}): spatial size {feat.shape[2:]} does not follow "
+                f"level {i}: spatial size {feat.shape[2:]} does not follow "
                 f"2x growth from previous level {prev.shape[2:]}")
         try:
             f = modulation_block(feat, prev, block)
         except ShapeMismatchError as e:
-            raise ShapeMismatchError(f"level {i} (scale {scale:g}): {e}") from e
+            raise ShapeMismatchError(f"level {i}: {e}") from e
         fused.append(f)
     head = conv2d(f, params.head_w, params.head_b, padding=1)
     head[:, :2] = logistic(head[:, :2])
     return DsfOutput(fused=fused, head=head)
 
 
-def geometry_maps_from_head(head, index: int = 0) -> GeometryMaps:
-    """Split one batch item of a (B, 7, H, W) head tensor into named maps."""
+def geometry_maps_from_head(head) -> GeometryMaps:
+    """Split the first batch item of a (B, 7, H, W) head tensor into named maps."""
     head = as_grid(head, 4)
     if head.shape[1] != len(CHANNELS):
         raise ShapeMismatchError(f"head must have {len(CHANNELS)} channels, got {head.shape[1]}")
-    return GeometryMaps.from_stack(head[index])
+    return GeometryMaps.from_stack(head[0])
 
 
 @dataclass(frozen=True)
@@ -245,10 +233,10 @@ class StubParams:
     convs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def init_stub_params(seed: int = 0, channels: int = 256, width: int = 16) -> StubParams:
+def init_stub_params(seed: int = 0, channels: int = 256) -> StubParams:
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
-    dims = [1, width, channels, channels, channels, channels]
+    dims = [1, STUB_WIDTH, channels, channels, channels, channels]
     convs = tuple((u(dims[i + 1], dims[i], 3, 3), u(dims[i + 1])) for i in range(5))
     return StubParams(convs=convs)
 
@@ -256,8 +244,8 @@ def init_stub_params(seed: int = 0, channels: int = 256, width: int = 16) -> Stu
 def backbone_stub(image, params: StubParams) -> list[np.ndarray]:
     """Tiny strided-convolution feature extractor for running images end to end.
 
-    Takes a (H, W) grayscale grid with H and W divisible by 32 and returns a
-    4-level pyramid [1/32, 1/16, 1/8, 1/4], coarsest first.
+    Takes a (H, W) grayscale grid with H and W divisible by 32 and returns
+    the LEVELS-level pyramid [1/32, 1/16, 1/8, 1/4], coarsest first.
     """
     img = as_grid(image, 2)
     h, w = img.shape
@@ -270,54 +258,3 @@ def backbone_stub(image, params: StubParams) -> list[np.ndarray]:
         if i >= 1:
             feats.append(x)
     return feats[::-1]
-
-
-def _param_sections(params: DsfParams) -> dict[str, np.ndarray]:
-    sections = {}
-    for i, blk in enumerate(params.blocks):
-        p = f"block{i}/"
-        sections[p + "conv_w"] = blk.conv_w
-        sections[p + "conv_b"] = blk.conv_b
-        sections[p + "snake_h_w"] = blk.snake_h.weights
-        sections[p + "snake_v_w"] = blk.snake_v.weights
-        sections[p + "w_q"] = blk.attention.w_q
-        sections[p + "w_k"] = blk.attention.w_k
-        sections[p + "b_q"] = blk.attention.b_q
-        sections[p + "b_k"] = blk.attention.b_k
-        sections[p + "proj_w"] = blk.proj_w
-        sections[p + "proj_b"] = blk.proj_b
-    sections["head/w"] = params.head_w
-    sections["head/b"] = params.head_b
-    return sections
-
-
-def save_dsf_params(path, params: DsfParams) -> None:
-    """Persist parameters as named tensor sections."""
-    from .dataio import write_map
-
-    write_map(path, _param_sections(params))
-
-
-def load_dsf_params(path) -> DsfParams:
-    """Rebuild parameters from save_dsf_params sections; others (meta/) are ignored."""
-    from .dataio import MapFileError, read_map
-
-    sections = read_map(path)
-    n_blocks = len({name.split("/")[0] for name in sections if name.startswith("block")})
-    blocks = []
-    try:
-        for i in range(n_blocks):
-            p = f"block{i}/"
-            blocks.append(BlockParams(
-                conv_w=sections[p + "conv_w"], conv_b=sections[p + "conv_b"],
-                snake_h=SnakeKernel(HORIZONTAL, sections[p + "snake_h_w"]),
-                snake_v=SnakeKernel(VERTICAL, sections[p + "snake_v_w"]),
-                attention=AttentionParams(
-                    w_q=sections[p + "w_q"], w_k=sections[p + "w_k"],
-                    b_q=sections[p + "b_q"], b_k=sections[p + "b_k"]),
-                proj_w=sections[p + "proj_w"], proj_b=sections[p + "proj_b"],
-            ))
-        return DsfParams(blocks=tuple(blocks), head_w=sections["head/w"],
-                         head_b=sections["head/b"])
-    except KeyError as e:
-        raise MapFileError(f"parameter file {path} is missing section {e}") from e

@@ -22,7 +22,7 @@ from textshaper.cli import _bench_candidates
 from textshaper.dataio import (AnnotationError, MapFileError, SynthBand, SynthSpec,
                                lowlight_suite, parse_annotation_text, parse_annotations,
                                read_map, synth_maps, write_map)
-from textshaper.evaluation import aggregate, harmonic_f1, match_image
+from textshaper.evaluation import ImageCounts, aggregate, harmonic_f1, match_image
 from textshaper.geometry import normalize_angle, polygon_area, polygon_iou, rasterize
 from textshaper.grids import conv2d
 from textshaper.losses import loss_seg, smooth_l1
@@ -145,7 +145,7 @@ def test_c04_end_to_end_synthetic_shaping():
             for g in gt:
                 best = max((polygon_iou(p, g) for p in polys), default=0.0)
                 assert best >= 0.90, f"instance {i}: best IoU {best:.3f} below 0.90"
-            counts.append((f"img{i}", *match_image(polys, gt, 0.5)))
+            counts.append(ImageCounts(f"img{i}", *match_image(polys, gt, 0.5)))
         report = aggregate(counts)
         assert report.precision == 1.0
         assert report.recall == 1.0
@@ -158,7 +158,7 @@ def test_c05_low_light_robustness():
         for i, spec in enumerate(lowlight_suite(50, noise_sigma=0.05, gamma=0.3)):
             maps, gt = synth_maps(spec, seed=100 + i)
             polys = shape_text(maps)
-            counts.append((f"img{i}", *match_image(polys, gt, 0.5)))
+            counts.append(ImageCounts(f"img{i}", *match_image(polys, gt, 0.5)))
         report = aggregate(counts)
         assert report.f1 >= 0.95, f"degraded-suite F1 {100 * report.f1:.1f}% below 95%"
 
@@ -220,7 +220,7 @@ def test_c13_dark_frames_keep_bands_whole():
         counts = []
         for i, spec in enumerate(lowlight_suite(6, noise_sigma=0.1, gamma=0.15)):
             maps, gt = synth_maps(spec, seed=100 + i)
-            counts.append((f"img{i}", *match_image(shape_text(maps), gt, 0.5)))
+            counts.append(ImageCounts(f"img{i}", *match_image(shape_text(maps), gt, 0.5)))
         report = aggregate(counts)
         assert report.f1 >= 0.95, f"dark-suite F1 {100 * report.f1:.1f}% below 95%: {counts}"
 
@@ -233,7 +233,7 @@ def test_c14_dark_large_frames_keep_bands_whole():
     frames = {gamma: synth_maps(dark_spec(640, 5, gamma), seed=100) for gamma in (0.3, 0.15)}
     with criterion(14, "shaping of dark 640x640 frames (gamma 0.3 and 0.15, sigma 0.1)",
                    budget_s=10.0):
-        counts = [(f"gamma {gamma}", *match_image(shape_text(maps), gt, 0.5))
+        counts = [ImageCounts(f"gamma {gamma}", *match_image(shape_text(maps), gt, 0.5))
                   for gamma, (maps, gt) in frames.items()]
         report = aggregate(counts)
         assert report.f1 >= 0.95, f"dark 640x640 F1 {100 * report.f1:.1f}% below 95%: {counts}"

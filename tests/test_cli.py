@@ -192,6 +192,14 @@ class TestEval:
         assert captured.out == ""
         assert "img1.txt:1: token 3 (400 digits) is too large" in captured.err
 
+    def test_non_ascii_coordinate_exits_2(self, tmp_path, capsys):
+        pred_dir, gt_dir = self.make_dirs(tmp_path)
+        (gt_dir / "img1.txt").write_text("1,1,\uff15,1,1,5\n", encoding="utf-8")
+        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "img1.txt:1: token 3 ('\uff15') is not an integer" in captured.err
+
     def test_pair_over_iou_budget_exits_2(self, tmp_path, capsys):
         from test_geometry import jittered_star
 

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,17 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match="negative"):
             parse_annotation_text("0,0,-4,0,4,2,0,2\n")
 
+    @pytest.mark.parametrize("tok", ["1_0", "\u0663", "\uff15"])
+    def test_only_sign_and_ascii_digits_parse(self, tok):
+        # int() alone would read 1_0 as 10 and Arabic-Indic or fullwidth digits as 3 and 5.
+        msg = f":2: token 2 ({tok!r}) is not an integer"
+        with pytest.raises(AnnotationError, match=re.escape(msg)):
+            parse_annotation_text(f"0,0,4,0,4,2\n1,{tok},5,0,5,5\n")
+
+    def test_signed_coordinates_parse(self):
+        polys, _ = parse_annotation_text("+1,0,5,-0,5,+5\n")
+        np.testing.assert_array_equal(polys[0].vertices, [[1, 0], [5, 0], [5, 5]])
+
     def test_coordinate_too_large_for_a_float(self):
         with pytest.raises(AnnotationError, match=r":2: token 3 \(400 digits\) is too large"):
             parse_annotation_text("0,0,4,0,4,2\n1,1," + "9" * 400 + ",1,1,5\n")
@@ -79,6 +92,15 @@ class TestAnnotations:
         parsed, flags = parse_annotations(path)
         assert [p.vertices.tolist() for p in parsed] == squares
         assert flags == [False, False]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite_vertex(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnnotationError, match="non-finite vertex"):
+                write_annotations(path, [np.array([[0.0, 0.0], [bad, 1.0], [3.0, 3.0]])])
+        assert not path.exists()
 
     def test_write_rejects_ignore_length_mismatch(self, tmp_path):
         polys = [TextPolygon(np.array([[0, 0], [4, 0], [4, 4]])),

@@ -115,7 +115,7 @@ class TestAggregate:
 
     def test_perfect_scores(self):
         assert harmonic_f1(100.0, 100.0) == pytest.approx(100.0)
-        rep = aggregate([("a", 5, 0, 0), ("b", 3, 0, 0)])
+        rep = aggregate([ImageCounts("a", 5, 0, 0), ImageCounts("b", 3, 0, 0)])
         assert (rep.precision, rep.recall, rep.f1) == (1.0, 1.0, 1.0)
 
     def test_counts_summed_then_derived(self):
@@ -126,7 +126,7 @@ class TestAggregate:
         assert rep.f1 == pytest.approx(harmonic_f1(99 / 133, 99 / 200))
 
     def test_order_invariance(self):
-        items = [("a", 3, 1, 0), ("b", 0, 2, 5), ("c", 7, 0, 1)]
+        items = [ImageCounts("a", 3, 1, 0), ImageCounts("b", 0, 2, 5), ImageCounts("c", 7, 0, 1)]
         fwd = aggregate(items)
         rev = aggregate(items[::-1])
         assert (fwd.tp, fwd.fp, fwd.fn, fwd.precision, fwd.recall, fwd.f1) == \
@@ -140,13 +140,13 @@ class TestAggregate:
 
 class TestReportRendering:
     def test_key_value_lines(self):
-        rep = aggregate([("a", 3, 1, 1)])
+        rep = aggregate([ImageCounts("a", 3, 1, 1)])
         lines = report_lines(rep)
         assert "tp=3" in lines
         assert "fp=1" in lines
         assert any(line.startswith("f1=") for line in lines)
 
     def test_table_contains_percentages(self):
-        rep = aggregate([("a", 3, 1, 1)])
+        rep = aggregate([ImageCounts("a", 3, 1, 1)])
         table = format_report(rep)
         assert "75.0" in table

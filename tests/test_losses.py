@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from textshaper.losses import (LossTargets, LossWeights, loss_seg, smooth_l1, total_loss)
+from textshaper.losses import LossTargets, loss_seg, smooth_l1, total_loss
 from textshaper.maps import GeometryMaps
 from textshaper.spatial import build_position_mask
 
@@ -58,7 +58,7 @@ class TestSmoothL1:
         pred[1, 1] = 2.0
         region = np.zeros((3, 3), dtype=bool)
         region[1, 1] = True
-        loss, grad = smooth_l1(pred, gt, beta=1.0, region=region)
+        loss, grad = smooth_l1(pred, gt, region=region)
         assert loss == pytest.approx(1.5)
         assert grad[1, 1] == pytest.approx(1.0)
         assert grad[0, 0] == 0.0
@@ -70,14 +70,14 @@ class TestSmoothL1:
         np.testing.assert_array_equal(grad, np.zeros((4, 4)))
 
     def test_continuous_and_smooth_at_beta(self):
-        beta = 1.0
+        # The quadratic and linear pieces meet at |e| = beta = 1.
         gt = np.zeros((1, 1))
         eps = 1e-8
-        below = smooth_l1(np.array([[beta - eps]]), gt, beta)[0]
-        above = smooth_l1(np.array([[beta + eps]]), gt, beta)[0]
+        below = smooth_l1(np.array([[1.0 - eps]]), gt)[0]
+        above = smooth_l1(np.array([[1.0 + eps]]), gt)[0]
         assert abs(above - below) < 1e-7
-        g_below = smooth_l1(np.array([[beta - eps]]), gt, beta)[1][0, 0]
-        g_above = smooth_l1(np.array([[beta + eps]]), gt, beta)[1][0, 0]
+        g_below = smooth_l1(np.array([[1.0 - eps]]), gt)[1][0, 0]
+        g_above = smooth_l1(np.array([[1.0 + eps]]), gt)[1][0, 0]
         assert abs(g_above - g_below) < 1e-7
 
     @pytest.mark.parametrize("seed", range(4))
@@ -161,13 +161,3 @@ class TestTotalLoss:
                     + ss_fn(aux, main)[0]
                     + sr_fn(recon, targets.mask)[0])
         assert b.total == pytest.approx(expected, rel=1e-15)
-
-    def test_optional_weights(self):
-        rng = np.random.default_rng(4)
-        pred, recon, aux, main, targets = build_total_inputs(rng)
-        b1 = total_loss(pred, recon, aux, main, targets)
-        b2 = total_loss(pred, recon, aux, main, targets,
-                        weights=LossWeights(seg=2.0, sr=0.0))
-        assert b2.l_seg == pytest.approx(2.0 * b1.l_seg)
-        assert b2.l_sr == 0.0
-        assert b2.l_h == b1.l_h

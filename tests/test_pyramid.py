@@ -3,26 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from textshaper.dataio import write_map
 from textshaper.grids import ShapeMismatchError, conv2d
 from textshaper.maps import CHANNELS
-from textshaper.pyramid import (AttentionParams, BlockParams, DsfParams, PyramidSpec,
-                                _param_sections, backbone_stub, dsf_forward, gated_attention,
+from textshaper.pyramid import (LEVELS, SNAKE_LENGTH, AttentionParams, BlockParams, DsfParams,
+                                PyramidSpec, backbone_stub, dsf_forward, gated_attention,
                                 geometry_maps_from_head, init_dsf_params, init_stub_params,
-                                load_dsf_params, modulation_block, save_dsf_params)
+                                modulation_block)
 from textshaper.snakeconv import HORIZONTAL, VERTICAL, SnakeKernel
 
 
 def small_spec(channels=8):
-    return PyramidSpec(levels=((1 / 32, channels), (1 / 16, channels),
-                               (1 / 8, channels), (1 / 4, channels)))
+    return PyramidSpec(channels=channels)
 
 
 def pyramid_feats(spec, base, rng=None, batch=1):
     feats = []
-    n = len(spec.levels)
-    for i, (_, c) in enumerate(spec.levels):
-        side = base // (2 ** (n - 1 - i))
+    c = spec.channels
+    for i in range(LEVELS):
+        side = base // (2 ** (LEVELS - 1 - i))
         if rng is None:
             feats.append(np.zeros((batch, c, side, side)))
         else:
@@ -30,19 +28,17 @@ def pyramid_feats(spec, base, rng=None, batch=1):
     return feats
 
 
-def zero_params(spec, kernel_length=3):
-    blocks = []
-    for _, c in spec.levels:
-        d = 2 * c
-        blocks.append(BlockParams(
-            conv_w=np.zeros((c, d, 3, 3)), conv_b=np.zeros(c),
-            snake_h=SnakeKernel(HORIZONTAL, np.zeros((c, d, kernel_length))),
-            snake_v=SnakeKernel(VERTICAL, np.zeros((c, d, kernel_length))),
-            attention=AttentionParams(w_q=np.zeros((d, d)), w_k=np.zeros((d, d)),
-                                      b_q=np.zeros(d), b_k=np.zeros(d)),
-            proj_w=np.zeros((c, d, 1, 1)), proj_b=np.zeros(c)))
+def zero_params(spec):
     c = spec.channels
-    return DsfParams(blocks=tuple(blocks), head_w=np.zeros((len(CHANNELS), c, 3, 3)),
+    d = 2 * c
+    block = BlockParams(
+        conv_w=np.zeros((c, d, 3, 3)), conv_b=np.zeros(c),
+        snake_h=SnakeKernel(HORIZONTAL, np.zeros((c, d, SNAKE_LENGTH))),
+        snake_v=SnakeKernel(VERTICAL, np.zeros((c, d, SNAKE_LENGTH))),
+        attention=AttentionParams(w_q=np.zeros((d, d)), w_k=np.zeros((d, d)),
+                                  b_q=np.zeros(d), b_k=np.zeros(d)),
+        proj_w=np.zeros((c, d, 1, 1)), proj_b=np.zeros(c))
+    return DsfParams(blocks=(block,) * LEVELS, head_w=np.zeros((len(CHANNELS), c, 3, 3)),
                      head_b=np.zeros(len(CHANNELS)))
 
 
@@ -136,7 +132,7 @@ class TestModulationBlock:
     def test_full_width_shape_contract(self):
         rng = np.random.default_rng(3)
         spec = PyramidSpec()  # 256 channels
-        params = init_dsf_params(spec, seed=0, kernel_length=3)
+        params = init_dsf_params(spec, seed=0)
         c_i = rng.normal(size=(1, 256, 4, 4))
         f_prev = rng.normal(size=(1, 256, 4, 4))
         out = modulation_block(c_i, f_prev, params.blocks[0])
@@ -144,7 +140,7 @@ class TestModulationBlock:
 
     def test_branch_shape_mismatch(self):
         spec = small_spec()
-        params = init_dsf_params(spec, seed=0, kernel_length=3)
+        params = init_dsf_params(spec, seed=0)
         with pytest.raises(ShapeMismatchError, match="branch"):
             modulation_block(np.zeros((1, 8, 4, 4)), np.zeros((1, 8, 2, 2)), params.blocks[0])
 
@@ -153,7 +149,7 @@ class TestDsfForward:
     def test_four_level_contract(self):
         spec = small_spec()
         rng = np.random.default_rng(4)
-        params = init_dsf_params(spec, seed=1, kernel_length=3)
+        params = init_dsf_params(spec, seed=1)
         feats = pyramid_feats(spec, base=16, rng=rng)
         out = dsf_forward(feats, params, spec)
         assert out.head.shape == (1, 7, 16, 16)
@@ -174,28 +170,43 @@ class TestDsfForward:
         spec = small_spec()
         rng = np.random.default_rng(5)
         feats = pyramid_feats(spec, base=16, rng=rng)
-        out1 = dsf_forward(feats, init_dsf_params(spec, seed=42, kernel_length=3), spec)
-        out2 = dsf_forward(feats, init_dsf_params(spec, seed=42, kernel_length=3), spec)
+        out1 = dsf_forward(feats, init_dsf_params(spec, seed=42), spec)
+        out2 = dsf_forward(feats, init_dsf_params(spec, seed=42), spec)
         np.testing.assert_array_equal(out1.head, out2.head)
 
     def test_wrong_level_count(self):
         spec = small_spec()
-        params = init_dsf_params(spec, seed=0, kernel_length=3)
+        params = init_dsf_params(spec, seed=0)
         feats = pyramid_feats(spec, base=16)[:3]
         with pytest.raises(ShapeMismatchError, match="levels"):
             dsf_forward(feats, params, spec)
 
     def test_off_pyramid_spacing_rejected(self):
         spec = small_spec()
-        params = init_dsf_params(spec, seed=0, kernel_length=3)
+        params = init_dsf_params(spec, seed=0)
         feats = pyramid_feats(spec, base=16)
         feats[2] = np.zeros((1, 8, 9, 9))
         with pytest.raises(ShapeMismatchError, match="2x"):
             dsf_forward(feats, params, spec)
 
+    def test_stacked_blocks_fail_block_count(self):
+        spec = small_spec()
+        params = init_dsf_params(spec, seed=4)
+        stacked = DsfParams(blocks=params.blocks * 2, head_w=params.head_w, head_b=params.head_b)
+        with pytest.raises(ShapeMismatchError, match="8 blocks for 4 levels"):
+            dsf_forward(pyramid_feats(spec, base=16), stacked, spec)
+
+    def test_wrong_channel_count_names_level(self):
+        spec = small_spec()
+        params = init_dsf_params(spec, seed=0)
+        feats = pyramid_feats(spec, base=16)
+        feats[1] = np.zeros((1, 6, 4, 4))
+        with pytest.raises(ShapeMismatchError, match="level 1: expected 8 channels, got 6"):
+            dsf_forward(feats, params, spec)
+
     def test_zeroed_snake_branch_keeps_shapes(self):
         spec = small_spec()
-        params = init_dsf_params(spec, seed=3, kernel_length=3)
+        params = init_dsf_params(spec, seed=3)
         blocks = tuple(
             BlockParams(conv_w=b.conv_w, conv_b=b.conv_b,
                         snake_h=SnakeKernel(HORIZONTAL, np.zeros_like(b.snake_h.weights)),
@@ -211,74 +222,29 @@ class TestDsfForward:
                                                 dsf_forward(feats, params, spec).fused]
 
 
-class TestParamsIO:
-    def test_save_load_round_trip(self, tmp_path):
-        spec = small_spec()
-        params = init_dsf_params(spec, seed=11, kernel_length=3)
-        path = tmp_path / "params.tmap"
-        save_dsf_params(path, params)
-        loaded = load_dsf_params(path)
-        assert len(loaded.blocks) == len(params.blocks)
-        for a, b in zip(params.blocks, loaded.blocks):
-            np.testing.assert_array_equal(a.conv_w, b.conv_w)
-            np.testing.assert_array_equal(a.snake_h.weights, b.snake_h.weights)
-            np.testing.assert_array_equal(a.attention.w_q, b.attention.w_q)
-        np.testing.assert_array_equal(params.head_w, loaded.head_w)
-        rng = np.random.default_rng(7)
-        feats = pyramid_feats(spec, base=16, rng=rng)
-        np.testing.assert_array_equal(dsf_forward(feats, params, spec).head,
-                                      dsf_forward(feats, loaded, spec).head)
-
-    def test_loads_file_with_blocks_per_level_section(self, tmp_path):
-        # Parameter files of earlier versions carry meta/blocks_per_level.
-        spec = small_spec()
-        params = init_dsf_params(spec, seed=4, kernel_length=3)
-        path = tmp_path / "old.tmap"
-        write_map(path, {**_param_sections(params), "meta/blocks_per_level": np.array([1.0])})
-        loaded = load_dsf_params(path)
-        feats = pyramid_feats(spec, base=16, rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(dsf_forward(feats, params, spec).head,
-                                      dsf_forward(feats, loaded, spec).head)
-
-    def test_stacked_file_fails_block_count(self, tmp_path):
-        spec = small_spec()
-        params = init_dsf_params(spec, seed=4, kernel_length=3)
-        stacked = DsfParams(blocks=params.blocks * 2, head_w=params.head_w, head_b=params.head_b)
-        path = tmp_path / "stacked.tmap"
-        write_map(path, {**_param_sections(stacked), "meta/blocks_per_level": np.array([2.0])})
-        loaded = load_dsf_params(path)
-        assert len(loaded.blocks) == 8
-        with pytest.raises(ShapeMismatchError, match="8 blocks for 4 levels"):
-            dsf_forward(pyramid_feats(spec, base=16), loaded, spec)
-
-
 class TestPyramidSpec:
     def test_default_levels(self):
         spec = PyramidSpec()
-        assert [s for s, _ in spec.levels] == [1 / 32, 1 / 16, 1 / 8, 1 / 4]
+        assert LEVELS == 4
         assert spec.channels == 256
+        params = init_dsf_params(small_spec(), seed=0)
+        assert len(params.blocks) == LEVELS
+        assert params.blocks[0].snake_h.weights.shape == (8, 16, SNAKE_LENGTH)
 
-    def test_rejects_decreasing_resolution(self):
-        with pytest.raises(ValueError, match="increase"):
-            PyramidSpec(levels=((1 / 4, 8), (1 / 8, 8)))
-
-    def test_rejects_unknown_scale(self):
-        with pytest.raises(ValueError, match="scale"):
-            PyramidSpec(levels=((1 / 64, 8), (1 / 4, 8)))
-
-    def test_rejects_mixed_channels(self):
-        with pytest.raises(ValueError, match="uniform"):
-            PyramidSpec(levels=((1 / 8, 8), (1 / 4, 16)))
+    @pytest.mark.parametrize("channels", [0, -8, True, 8.0, "8", None])
+    def test_rejects_bad_channels(self, channels):
+        with pytest.raises(ValueError, match="channels must be a positive int"):
+            PyramidSpec(channels=channels)
 
 
 class TestBackboneStub:
     def test_pyramid_shapes(self):
-        params = init_stub_params(seed=0, channels=8, width=4)
+        params = init_stub_params(seed=0, channels=8)
         feats = backbone_stub(np.random.default_rng(0).uniform(size=(64, 64)), params)
         assert [f.shape for f in feats] == [(1, 8, 2, 2), (1, 8, 4, 4),
                                             (1, 8, 8, 8), (1, 8, 16, 16)]
 
     def test_rejects_odd_size(self):
-        params = init_stub_params(seed=0, channels=8, width=4)
+        params = init_stub_params(seed=0, channels=8)
         with pytest.raises(ShapeMismatchError, match="divisible"):
             backbone_stub(np.zeros((60, 64)), params)
