@@ -13,7 +13,6 @@ import math
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,26 +32,7 @@ from .shaping import (FPS_CAP, OVERLAP_COUNTER, ShapingConfig, farthest_point_sa
 _CLI_ERRORS = (ValueError, OSError)
 
 
-def _add_shaping_flags(p: argparse.ArgumentParser) -> None:
-    d = ShapingConfig()
-    p.add_argument("--center-thresh", type=float, default=d.center_thresh,
-                   help="center map threshold")
-    p.add_argument("--rect-width", type=float, default=d.rect_width,
-                   help="fixed component rectangle width (map px)")
-    p.add_argument("--close-kernel", type=int, default=d.close_kernel,
-                   help="square closing kernel side (odd)")
-    p.add_argument("--min-area", type=float, default=d.min_area,
-                   help="drop contours below this pixel area")
-
-
-def _shaping_config(args) -> ShapingConfig:
-    return ShapingConfig(
-        center_thresh=args.center_thresh, rect_width=args.rect_width,
-        close_kernel=args.close_kernel, min_area=args.min_area)
-
-
 def cmd_shape(args) -> int:
-    cfg = _shaping_config(args)
     scale = args.scale
     if not 0.0 < scale < math.inf:
         raise ValueError(f"--scale must be positive and finite, got {scale}")
@@ -70,23 +50,19 @@ def cmd_shape(args) -> int:
         if args.maps is None:
             raise ValueError("either --maps or --image is required")
         maps = read_geometry_maps(args.maps)
-    polys = shape_text(maps, cfg)
+    polys = shape_text(maps)
     scaled = [TextPolygon(p.vertices * scale) for p in polys]
     write_annotations(args.out, scaled)
     print(f"polygons={len(scaled)}", file=sys.stderr)
     return 0
 
 
-def _eval_one(task) -> ImageCounts:
-    name, pred_path, gt_path, iou_thresh, use_ignore = task
-    preds = parse_annotations(pred_path)[0] if pred_path else []
-    if gt_path:
-        gts, flags = parse_annotations(gt_path)
-    else:
-        gts, flags = [], []
+def _eval_one(name: str, pred_dir: Path, gt_dir: Path, iou_thresh: float) -> ImageCounts:
+    pred, gt = pred_dir / name, gt_dir / name
+    preds = parse_annotations(pred)[0] if pred.exists() else []
+    gts, flags = parse_annotations(gt) if gt.exists() else ([], [])
     try:
-        tp, fp, fn = match_image(preds, gts, iou_thresh,
-                                 ignore=flags if use_ignore else None)
+        tp, fp, fn = match_image(preds, gts, iou_thresh, ignore=flags)
     except ValueError as e:
         raise ValueError(f"{name}: {e}") from None
     return ImageCounts(name=name, tp=tp, fp=fp, fn=fn)
@@ -95,26 +71,13 @@ def _eval_one(task) -> ImageCounts:
 def cmd_eval(args) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ValueError(f"--iou must lie in (0, 1], got {args.iou}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     if not gt_dir.is_dir():
         raise OSError(f"ground-truth directory not found: {gt_dir}")
     if not pred_dir.is_dir():
         raise OSError(f"prediction directory not found: {pred_dir}")
     names = sorted({p.name for p in gt_dir.glob("*.txt")} | {p.name for p in pred_dir.glob("*.txt")})
-    tasks = []
-    for name in names:
-        pred = pred_dir / name
-        gt = gt_dir / name
-        tasks.append((name, str(pred) if pred.exists() else None,
-                      str(gt) if gt.exists() else None, args.iou, args.use_ignore))
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            counts = list(pool.map(_eval_one, tasks))
-    else:
-        counts = [_eval_one(t) for t in tasks]
-    report = aggregate(counts)
+    report = aggregate(_eval_one(name, pred_dir, gt_dir, args.iou) for name in names)
     print(format_report(report))
     for line in report_lines(report):
         print(line)
@@ -143,31 +106,26 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--n-candidates must be >= 1, got {k}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if not 0.0 < args.rect_width < math.inf:
-        raise ValueError(f"--rect-width must be positive and finite, got {args.rect_width}")
-    if not 0.0 <= args.nms_iou <= 1.0:
-        raise ValueError(f"--nms-iou must lie in [0, 1], got {args.nms_iou}")
-    width = args.rect_width
-    radius = ShapingConfig(rect_width=width).coverage_radius
+    cfg = ShapingConfig()
     fps_times, nms_times = [], []
     fps_ops = nms_ops = 0
     fps_kept = nms_kept = 0
     for trial in range(args.trials):
         pts, thetas, heights, scores = _bench_candidates(k, args.seed + trial)
+        rows = np.column_stack([pts, heights, np.full(k, cfg.rect_width),
+                                normalize_angle(thetas)])
 
         OVERLAP_COUNTER.reset()
         t0 = time.perf_counter()
-        idx = farthest_point_sample_indices(pts, FPS_CAP, radius)
-        fps_rows = np.column_stack([pts[idx], heights[idx], np.full(len(idx), width),
-                                    normalize_angle(thetas[idx])])
+        idx = farthest_point_sample_indices(pts, FPS_CAP, cfg.coverage_radius)
+        fps_rows = rows[idx]
         fps_times.append(time.perf_counter() - t0)
         fps_ops = OVERLAP_COUNTER.count
         fps_kept = len(fps_rows)
 
         OVERLAP_COUNTER.reset()
         t0 = time.perf_counter()
-        rows = np.column_stack([pts, heights, np.full(k, width), normalize_angle(thetas)])
-        kept = nms_baseline(rows, scores, args.nms_iou)
+        kept = nms_baseline(rows, scores)
         nms_times.append(time.perf_counter() - t0)
         nms_ops = OVERLAP_COUNTER.count
         nms_kept = len(kept)
@@ -228,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bottom-up text shaping, evaluation, and benchmarking tools.")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    d = ShapingConfig()
 
     p = sub.add_parser("shape", formatter_class=fmt,
                        help="shape head maps into text polygons")
@@ -241,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0,
                    help="multiply output coordinates by this factor")
     p.add_argument("--seed", type=int, default=0, help="parameter seed for --image")
-    _add_shaping_flags(p)
     p.set_defaults(func=cmd_shape)
 
     p = sub.add_parser("eval", formatter_class=fmt,
@@ -249,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="directory of predicted .txt files")
     p.add_argument("--gt", required=True, help="directory of ground-truth .txt files")
     p.add_argument("--iou", type=float, default=0.5, help="match IoU threshold")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--use-ignore", action="store_true",
-                   help="honor #ignore flags in the ground truth")
     p.add_argument("--assert-f1", type=float, default=None,
                    help="exit 1 when F1 (percent) falls below this value")
     p.set_defaults(func=cmd_eval)
@@ -261,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-candidates", type=int, default=2000, help="candidate count K")
     p.add_argument("--trials", type=int, default=20, help="timed trials")
     p.add_argument("--seed", type=int, default=0, help="candidate generator seed")
-    p.add_argument("--rect-width", type=float, default=d.rect_width, help="component width")
-    p.add_argument("--nms-iou", type=float, default=0.5, help="NMS suppression threshold")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", formatter_class=fmt,

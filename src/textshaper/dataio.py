@@ -47,7 +47,9 @@ class ImageFormatError(ValueError):
 def parse_annotation_text(text: str, source: str = "<string>"):
     polys: list[TextPolygon] = []
     flags: list[bool] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as editors and `wc -l` count them; str.splitlines()
+    # would also break at "\x0c", "\x85", U+2028 and more. strip() drops a "\r".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -47,8 +47,9 @@ def match_image(preds, gts, iou_thresh: float = 0.5, ignore=None) -> tuple[int, 
     order (ties by prediction index, then ground-truth index) as long as
     both members are unmatched. With per-ground-truth ignore flags, ignored
     polygons are excluded from matching and from the false-negative count,
-    and unmatched predictions overlapping an ignored polygon are discarded
-    rather than counted as false positives. iou_thresh must lie in (0, 1]:
+    and an unmatched prediction whose IoU with some ignored polygon is
+    >= iou_thresh is discarded rather than counted as a false positive (a
+    smaller overlap still counts as one). iou_thresh must lie in (0, 1]:
     at 0 every pair would match, even disjoint ones.
     """
     if not 0.0 < iou_thresh <= 1.0:

@@ -1,7 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from textshaper.cli import main
+from textshaper.cli import build_parser, main
 from textshaper.dataio import (parse_annotations, read_geometry_maps, read_pgm,
                                write_annotations, write_geometry_maps, write_map, write_pgm)
 from textshaper.geometry import TextPolygon, polygon_iou
@@ -108,16 +110,6 @@ class TestShape:
                     "--seed", 1]) == 0
         assert pred.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--rect-width", "nan"), ("--rect-width", "inf"),
-                                             ("--min-area", "nan"), ("--min-area", -1)])
-    def test_bad_shaping_setting_is_usage_error(self, tmp_path, capsys, flag, value):
-        out = synth_dir(tmp_path)
-        capsys.readouterr()
-        pred = tmp_path / "pred.txt"
-        assert run(["shape", "--maps", out / "maps.tmap", "--out", pred, flag, value]) == 2
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
-        assert not pred.exists()
-
     @pytest.mark.parametrize("value", [0, -1, "nan", "inf"])
     def test_bad_scale_is_usage_error(self, tmp_path, capsys, value):
         pred = tmp_path / "pred.txt"
@@ -171,13 +163,20 @@ class TestEval:
         pred_dir, gt_dir = self.make_dirs(tmp_path / "p", perfect=True)
         assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, "--assert-f1", 99.0]) == 0
 
-    def test_parallel_matches_serial(self, tmp_path, capsys):
-        pred_dir, gt_dir = self.make_dirs(tmp_path)
+    @pytest.mark.parametrize("pred_line, counts", [
+        ("2,2,30,2,30,12,2,12", ("tp=1", "fp=0", "fn=0")),
+        ("40,20,70,20,70,30,40,30", ("tp=0", "fp=0", "fn=1")),
+    ])
+    def test_ignore_flags_are_honoured(self, tmp_path, capsys, pred_line, counts):
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        (gt_dir / "img0.txt").write_text(
+            "2,2,30,2,30,12,2,12\n40,20,70,20,70,30,40,30,#ignore\n")
+        (pred_dir / "img0.txt").write_text(pred_line + "\n")
         assert run(["eval", "--pred", pred_dir, "--gt", gt_dir]) == 0
-        serial = capsys.readouterr().out
-        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, "--jobs", 3]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
+        lines = capsys.readouterr().out.splitlines()
+        assert all(c in lines for c in counts)
 
     def test_missing_gt_dir_exits_2(self, tmp_path, capsys):
         code = run(["eval", "--pred", tmp_path, "--gt", tmp_path / "missing"])
@@ -214,8 +213,7 @@ class TestEval:
         assert "error: img1.txt: polygon pair needs 8418459 candidate edge pairs, over " \
                "polygon_iou's budget of" in captured.err
 
-    @pytest.mark.parametrize("flag, value", [("--iou", 0), ("--iou", 1.5), ("--iou", -0.2),
-                                             ("--jobs", 0), ("--jobs", -3)])
+    @pytest.mark.parametrize("flag, value", [("--iou", 0), ("--iou", 1.5), ("--iou", -0.2)])
     def test_bad_threshold_or_jobs_is_usage_error(self, tmp_path, capsys, flag, value):
         pred_dir, gt_dir = self.make_dirs(tmp_path)
         assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, flag, value]) == 2
@@ -296,15 +294,6 @@ class TestBench:
         assert captured.out == ""
         assert "--trials" in captured.err
 
-    @pytest.mark.parametrize("flag, value", [("--nms-iou", -1), ("--nms-iou", 1.5),
-                                             ("--rect-width", 0), ("--rect-width", -2),
-                                             ("--rect-width", "inf")])
-    def test_bad_sampling_flag_is_usage_error(self, capsys, flag, value):
-        assert run(["bench", "--n-candidates", 5, "--trials", 1, flag, value]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert flag in captured.err
-
 
 class TestRender:
     def test_empty_polygons_copies_image(self, tmp_path):
@@ -356,9 +345,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["shape", "--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "default: 0.5" in out
+        out = " ".join(capsys.readouterr().out.split())  # help wraps at the terminal width
+        assert "default: 640" in out
         assert "EXPERIMENTAL" in out
+
+    def test_option_surface_is_pinned(self):
+        # Every flag is a promise to callers: adding or dropping one must edit this test.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        surface = {name: {s for a in p._actions if a.dest != "help" for s in a.option_strings}
+                   for name, p in sub.choices.items()}
+        assert surface == {
+            "shape": {"--maps", "--image", "--resize", "--out", "--scale", "--seed"},
+            "eval": {"--pred", "--gt", "--iou", "--assert-f1"},
+            "bench": {"--n-candidates", "--trials", "--seed"},
+            "synth": {"--out", "--kind", "--frame", "--height", "--amplitude", "--period",
+                      "--phase", "--noise", "--gamma", "--seed"},
+            "render": {"--image", "--polys", "--out"},
+        }
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -59,6 +59,18 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match=re.escape(msg)):
             parse_annotation_text(f"0,0,4,0,4,2\n1,{tok},5,0,5,5\n")
 
+    def test_only_newline_ends_a_line(self):
+        # U+2028 and form feed are whitespace around a token, not line ends.
+        polys, _ = parse_annotation_text("0,0,4,0\u2028,4,2")
+        np.testing.assert_array_equal(polys[0].vertices, [[0, 0], [4, 0], [4, 2]])
+        with pytest.raises(AnnotationError, match=re.escape(":2: token 3 ('x')")):
+            parse_annotation_text("0,0,4,0,4,2\x0c\n1,1,x")
+
+    def test_crlf_line_ends_parse(self):
+        polys, flags = parse_annotation_text("0,0,4,0,4,2\r\n1,1,5,1,5,4,#ignore\r\n")
+        assert len(polys) == 2
+        assert flags == [False, True]
+
     def test_signed_coordinates_parse(self):
         polys, _ = parse_annotation_text("+1,0,5,-0,5,+5\n")
         np.testing.assert_array_equal(polys[0].vertices, [[1, 0], [5, 0], [5, 5]])
