@@ -1,4 +1,4 @@
-"""Dense float64 grid primitives: convolution, sampling, softmax, resizing.
+"""Dense float64 grid primitives: convolution, sampling, resizing, gates.
 
 Feature tensors are plain C-contiguous float64 ndarrays laid out
 (batch, channel, height, width); masks and per-pixel maps are
@@ -39,7 +39,9 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
     input into a (B, Cin, kh, kw, rows, Wo) column buffer, which one matmul
     with the (Cout, Cin*kh*kw) kernel contracts into the block's rows of
     the output. A block holds as many rows as fit in CHUNK_BYTES (at least
-    one), and every block reuses the same buffer.
+    one), and every block reuses the same buffer. A 1x1 kernel at stride 1
+    without padding is one matmul on the (B, Cin, H*W) view of the input,
+    with no padded copy and no column buffer.
     """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an int >= 1, got {stride!r}")
@@ -56,18 +58,31 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
         raise ShapeMismatchError(
             f"input channel dimension {x.shape[1]} does not match kernel input channels {cin}")
     ph, pw = pads
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    if xp.shape[2] < kh or xp.shape[3] < kw:
+    bsz, _, h, w = x.shape
+    if h + 2 * ph < kh or w + 2 * pw < kw:
         raise ShapeMismatchError(
-            f"padded input {xp.shape[2]}x{xp.shape[3]} smaller than kernel {kh}x{kw}")
-    bsz = x.shape[0]
-    ho = (xp.shape[2] - kh) // stride + 1
-    wo = (xp.shape[3] - kw) // stride + 1
+            f"padded input {h + 2 * ph}x{w + 2 * pw} smaller than kernel {kh}x{kw}")
     if bias is not None:
         b = as_grid(bias, 1)
         if b.shape != (cout,):
             raise ShapeMismatchError(
                 f"bias length {b.shape[0]} does not match output channels {cout}")
+    if kh == kw == stride == 1 and ph == pw == 0:
+        out = np.matmul(k.reshape(cout, cin), x.reshape(bsz, cin, h * w)).reshape(bsz, cout, h, w)
+    else:
+        out = _im2col_matmul(x, k, stride, ph, pw)
+    if bias is not None:
+        out += b[None, :, None, None]
+    return out
+
+
+def _im2col_matmul(x: np.ndarray, k: np.ndarray, stride: int, ph: int, pw: int) -> np.ndarray:
+    """conv2d's general case, without bias: im2col blocks of output rows."""
+    bsz = x.shape[0]
+    cout, cin, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
     taps = cin * kh * kw
     rows = min(ho, max(1, CHUNK_BYTES // max(1, 8 * bsz * taps * wo)))
     buf = np.empty(bsz * taps * rows * wo)
@@ -83,8 +98,6 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
                 cols[:, :, i, j] = xp[:, :, i + stride * r0:i + stride * r1:stride,
                                       j:j + stride * wo:stride]
         np.matmul(kmat, cols.reshape(bsz, taps, n), out=out_flat[:, :, r0 * wo:r1 * wo])
-    if bias is not None:
-        out += b[None, :, None, None]
     return out
 
 
@@ -113,15 +126,6 @@ def bilinear_sample(x, points) -> np.ndarray:
             if np.any(ok):
                 out[:, ok] += weight[ok] * x[:, yy[ok].astype(np.intp), xx[ok].astype(np.intp)]
     return out
-
-
-def row_softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of the (N,M) float64 array s, computed in
-    s itself and max-subtracted for stability; returns s."""
-    s -= s.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    return s
 
 
 def resize_bilinear(x, out_h, out_w) -> np.ndarray:
@@ -157,8 +161,9 @@ def upsample2x(x) -> np.ndarray:
 def logistic(x) -> np.ndarray:
     """Numerically stable elementwise logistic sigmoid, as a new array.
 
-    With e = exp(-|x|), it is 1/(1+e) where x >= 0 and e/(1+e) elsewhere,
-    so exp never overflows. -|x| is taken as min(x, -x), which keeps the
+    It is exp(min(x, 0)) / (1 + exp(min(x, -x))): 1/(1+e) where x >= 0 and
+    e/(1+e) elsewhere, with e = exp(-|x|), so exp never overflows and no
+    branch or mask is needed. -|x| is taken as min(x, -x), which keeps the
     sign of a NaN input.
     """
     return _logistic_inplace(np.array(x, dtype=np.float64))
@@ -166,14 +171,13 @@ def logistic(x) -> np.ndarray:
 
 def _logistic_inplace(x: np.ndarray) -> np.ndarray:
     """`logistic` of a float64 array, written into that array and returned.
-    Needs one scratch array of x's size and a boolean one."""
+    Needs one scratch array of x's size."""
     e = np.negative(x, out=np.empty_like(x))
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    positive = x >= 0
-    np.copyto(x, e)
-    np.copyto(x, 1.0, where=positive)
     e += 1.0
+    np.minimum(x, 0.0, out=x)
+    np.exp(x, out=x)
     x /= e
     return x
 

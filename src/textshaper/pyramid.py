@@ -12,10 +12,12 @@ feeds a head emitting text/center score maps (logistic squashed) and the
 five rotated-rectangle regression channels.
 
 Beyond the feature maps themselves, the working set does not grow with
-the input: the convolutions' im2col blocks and the attention's score
-chunks are each sized to grids.CHUNK_BYTES and reuse one buffer, and the
-branch outputs are written straight into the token grid instead of being
-concatenated.
+the input: the 3x3 convolutions' im2col blocks and the attention's score
+chunks are each sized to grids.CHUNK_BYTES and reuse one buffer. Nothing
+is copied just to change layout: the branch outputs are written (3x3) and
+added (snake) straight into the token grid, attention reads and writes
+that grid's channel-major (d, H*W) view, the snake taps are stored in the
+layout their GEMMs read, and the 1x1 projection is one GEMM on the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import grids
 from .grids import (ShapeMismatchError, _logistic_inplace, as_grid, conv2d, logistic, relu,
-                    row_softmax_inplace, upsample2x)
+                    upsample2x)
 from .maps import CHANNELS, GeometryMaps
 from .snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
 
@@ -102,15 +104,34 @@ class DsfOutput:
 
 
 def init_dsf_params(spec: PyramidSpec, seed: int = 0) -> DsfParams:
-    """Seeded uniform [-INIT_SCALE, INIT_SCALE] parameters for every block."""
+    """Seeded uniform [-INIT_SCALE, INIT_SCALE] parameters for every block.
+
+    Every array is drawn in its own C order, one after another. A snake
+    kernel's (cout, cin, length) draw is made eight output channels at a
+    time, with the arithmetic of rng.uniform, into one small buffer that
+    is scattered into the kernel's tap-major store, so the kernel is never
+    held in both layouts.
+    """
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
     c = spec.channels
     d = 2 * c
+
+    def snake(axis):
+        taps = np.empty((SNAKE_LENGTH, c, d))
+        buf = np.empty((8, d, SNAKE_LENGTH))
+        for lo in range(0, c, 8):
+            b = buf[:min(8, c - lo)]
+            # rng.uniform(low, high) draws low + (high - low) * rng.random().
+            rng.random(out=b)
+            b *= 2 * INIT_SCALE
+            b -= INIT_SCALE
+            taps[:, lo:lo + len(b)] = b.transpose(2, 0, 1)
+        return SnakeKernel(axis, taps.transpose(1, 2, 0))
+
     blocks = tuple(BlockParams(
         conv_w=u(c, d, 3, 3), conv_b=u(c),
-        snake_h=SnakeKernel(HORIZONTAL, u(c, d, SNAKE_LENGTH)),
-        snake_v=SnakeKernel(VERTICAL, u(c, d, SNAKE_LENGTH)),
+        snake_h=snake(HORIZONTAL), snake_v=snake(VERTICAL),
         attention=AttentionParams(w_q=u(d, d), w_k=u(d, d), b_q=u(d), b_k=u(d)),
         proj_w=u(c, d, 1, 1), proj_b=u(c),
     ) for _ in range(LEVELS))
@@ -119,38 +140,50 @@ def init_dsf_params(spec: PyramidSpec, seed: int = 0) -> DsfParams:
 
 
 def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
-    """Self-attention over (n, d) token rows: softmax(g(Q) g(K)^T / sqrt(d_k)) V.
+    """Self-attention over (d, n) channel-major tokens: softmax(g(Q) g(K)^T / sqrt(d_k)) V.
 
-    The gate g is the logistic function, the raw tokens serve as values and
-    d_k is the key dimension. Query rows go in chunks whose (rows, n) score
-    block fits in grids.CHUNK_BYTES (at least one row), so the n x n
-    attention matrix is never held whole. Every chunk reuses one score
-    buffer, softmaxes it in place and multiplies it into the rows of the
-    query gate it has just consumed: AttentionParams makes d_k equal d, so
-    the gate's buffer holds the output and no third (n, d) array is made.
+    Column j of tokens is token j, as in a (d, H, W) feature grid flattened
+    to (d, H*W), and the result has the same layout. The gate g is the
+    logistic function, the raw tokens serve as values and d_k is the key
+    dimension; 1/sqrt(d_k) is folded into the query gate.
+
+    Both gates lie in [0, 1], so every scaled score lies in [0, sqrt(d_k)]:
+    the scores are exponentiated as they are, without the usual shift by
+    the row maximum, since exp cannot overflow for any d_k below 500 000
+    and each row sums to at least n.
+
+    Query columns go in chunks whose (rows, n) score block fits in
+    grids.CHUNK_BYTES (at least one column), so the n x n attention matrix
+    is never held whole. Every chunk reuses one score buffer and
+    exponentiates it in place, and the softmax normalisation is deferred:
+    the (d, rows) value product is divided by the row sums, instead of the
+    (rows, n) scores, and written into the query gate's columns that the
+    chunk has just consumed. AttentionParams makes d_k equal d, so the
+    gate's buffer holds the output and no third (d, n) array is made.
     """
     v = as_grid(tokens, 2)
-    if v.shape[1] != params.w_q.shape[1]:
+    if v.shape[0] != params.w_q.shape[1]:
         raise ShapeMismatchError(
-            f"token dimension {v.shape[1]} does not match attention weights {params.w_q.shape}")
-    # Each gate is computed in its projection's buffer, so no raw copy or
-    # result array of size (n, d_k) is held beside the gates.
-    q = v @ params.w_q.T
-    q += params.b_q
+            f"token dimension {v.shape[0]} does not match attention weights {params.w_q.shape}")
+    # Each gate is computed in its projection's buffer, so no result array
+    # of size (d_k, n) is held beside the gates.
+    q = params.w_q @ v
+    q += params.b_q[:, None]
     _logistic_inplace(q)
-    k = v @ params.w_k.T
-    k += params.b_k
+    q *= 1.0 / math.sqrt(params.w_k.shape[0])
+    k = params.w_k @ v
+    k += params.b_k[:, None]
     _logistic_inplace(k)
-    scale = 1.0 / math.sqrt(params.w_k.shape[0])
-    n = v.shape[0]
+    n = v.shape[1]
     rows = max(1, grids.CHUNK_BYTES // max(1, 8 * n))
     buf = np.empty((min(rows, n), n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        s = np.matmul(q[lo:hi], k.T, out=buf[:hi - lo])
-        s *= scale
-        row_softmax_inplace(s)
-        np.matmul(s, v, out=q[lo:hi])
+        s = np.matmul(q[:, lo:hi].T, k, out=buf[:hi - lo])
+        np.exp(s, out=s)
+        total = s.sum(axis=1)
+        out = np.matmul(v, s.T, out=q[:, lo:hi])
+        out /= total
     return q
 
 
@@ -158,9 +191,11 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     """One fusion block: concat, parallel conv/snake branches, gated attention.
 
     c_i and f_prev must already share (B, C, H, W); returns features of the
-    same shape. The branch outputs are written side by side into one
-    (B, 2C, H, W) token grid, the concatenated input is dropped before
-    attention runs, and each item's attention output overwrites its tokens.
+    same shape. The 3x3 branch is written, and both snake branches are
+    added, straight into one (B, 2C, H, W) token grid, whose (2C, H*W) view
+    per item is attention's token layout. The concatenated input is dropped
+    before attention runs, and each item's attention output overwrites its
+    tokens before the 1x1 projection.
     """
     c_i = as_grid(c_i, 4)
     f_prev = as_grid(f_prev, 4)
@@ -170,17 +205,16 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     x = np.concatenate([c_i, f_prev], axis=1)
     b, _, h, w = x.shape
     c = params.conv_w.shape[0]
-    v = np.empty((b, c + params.snake_h.cout, h, w))
+    v = np.zeros((b, c + params.snake_h.cout, h, w))
     v[:, :c] = conv2d(x, params.conv_w, params.conv_b, padding=1)
-    v[:, c:] = dsc_forward(x, params.snake_h)
-    v[:, c:] += dsc_forward(x, params.snake_v)
+    dsc_forward(x, params.snake_h, out=v[:, c:])
+    dsc_forward(x, params.snake_v, out=v[:, c:])
     del x
     d = v.shape[1]
     for i in range(b):
         # gated_attention returns a new array, so its result can replace
         # the tokens it was computed from.
-        tokens = v[i].reshape(d, h * w).T
-        v[i] = gated_attention(tokens, params.attention).T.reshape(d, h, w)
+        v[i] = gated_attention(v[i].reshape(d, h * w), params.attention).reshape(d, h, w)
     return conv2d(v, params.proj_w, params.proj_b)
 
 

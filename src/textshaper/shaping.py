@@ -289,22 +289,33 @@ def build_components(centers, maps: GeometryMaps, cfg: ShapingConfig) -> np.ndar
     return rows
 
 
-def _row_window(m: np.ndarray, kernel: int, reduce) -> np.ndarray:
-    """`reduce` over each pixel's 1 x kernel window, outside the frame False."""
-    w = m.shape[1]
-    padded = np.pad(m, ((0, 0), (kernel // 2, kernel // 2)), constant_values=False)
-    out = padded[:, :w].copy()
-    for d in range(1, kernel):
-        reduce(out, padded[:, d:d + w], out=out)
-    return out
+def _window_pass(flat: np.ndarray, row_len: int, kernel: int, reduce) -> np.ndarray:
+    """`reduce` over the kernel x kernel windows of a flattened C-ordered
+    2-D array with rows of row_len pixels, each stored at its window's
+    top-left pixel in a new array of the same size.
+
+    The rows are reduced first, then the columns. A column shift is a flat
+    shift by 1 and a row shift one by row_len, so every step is one ufunc
+    over two contiguous slices. Windows that would leave the array keep
+    their input value, and windows that wrap past a row's end mix two rows:
+    the caller's padding keeps both out of the pixels it reads.
+    """
+    for step in (1, row_len):
+        n = flat.size - (kernel - 1) * step
+        out = flat.copy()
+        for d in range(1, kernel):
+            reduce(out[:n], flat[d * step:d * step + n], out=out[:n])
+        flat = out
+    return flat
 
 
 def _square_window(mask, kernel: int, reduce) -> np.ndarray:
     """`reduce` (np.logical_or or np.logical_and) over each pixel's
-    kernel x kernel window, outside the frame counting as False. A square
-    window is separable: one pass along rows, then one along columns."""
-    rows = _row_window(np.asarray(mask, dtype=bool), kernel, reduce)
-    return _row_window(rows.T, kernel, reduce).T
+    kernel x kernel window, outside the frame counting as False."""
+    m = np.asarray(mask, dtype=bool)
+    padded = np.pad(m, kernel // 2, constant_values=False)
+    flat = _window_pass(padded.ravel(), padded.shape[1], kernel, reduce)
+    return flat.reshape(padded.shape)[:m.shape[0], :m.shape[1]].copy()
 
 
 def dilate(mask, kernel: int) -> np.ndarray:
@@ -320,17 +331,22 @@ def erode(mask, kernel: int) -> np.ndarray:
 def close_binary(mask, kernel: int) -> np.ndarray:
     """Morphological closing (dilate then erode), border-safe.
 
-    The working frame is padded by the kernel radius so shapes touching the
-    frame edge are not eaten by the erosion step.
+    The mask is closed inside a frame padded by the kernel radius, so
+    shapes touching the frame edge are not eaten by the erosion step. Both
+    steps run on one C-ordered copy padded by twice the radius, which holds
+    every window the result depends on: the dilation's row and column
+    passes, then the erosion's, each over whole contiguous slices.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be a positive odd int, got {kernel}")
+    m = np.asarray(mask, dtype=bool)
     if kernel == 1:
-        return np.asarray(mask, dtype=bool).copy()
-    r = kernel // 2
-    padded = np.pad(np.asarray(mask, dtype=bool), r, constant_values=False)
-    closed = erode(dilate(padded, kernel), kernel)
-    return closed[r:-r, r:-r]
+        return m.copy()
+    padded = np.pad(m, 2 * (kernel // 2), constant_values=False)
+    row_len = padded.shape[1]
+    flat = _window_pass(padded.ravel(), row_len, kernel, np.logical_or)
+    flat = _window_pass(flat, row_len, kernel, np.logical_and)
+    return flat.reshape(padded.shape)[:m.shape[0], :m.shape[1]].copy()
 
 
 def accumulate_and_close(rects, frame: tuple[int, int], cfg: ShapingConfig) -> np.ndarray:

@@ -306,13 +306,6 @@ def logistic_masked_oracle(x):
     return out
 
 
-def row_softmax_oracle(x):
-    """Row softmax with fresh arrays: exp(x - row max) over its row sum."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    z = np.exp(x - x.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
-
-
 # Crack-boundary walk directions: R, D, L, U as (dx, dy) with y pointing down.
 _DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 _LEFT_TURN = (3, 0, 1, 2)

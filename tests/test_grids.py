@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 import textshaper.grids as grids
-from helpers import logistic_masked_oracle, row_softmax_oracle
+from helpers import logistic_masked_oracle
 from textshaper.grids import (ShapeMismatchError, bilinear_sample, conv2d, logistic,
-                              resize_bilinear, row_softmax_inplace, upsample2x)
+                              resize_bilinear, upsample2x)
 
 
 def conv2d_oracle(x, k, bias, stride, padding):
@@ -134,6 +133,31 @@ class TestConv2d:
                                    atol=1e-12)
 
 
+    def test_pointwise_kernel_is_one_matmul_without_padding(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(2, 5, 4, 6))
+        k = rng.normal(size=(3, 5, 1, 1))
+        bias = rng.normal(size=3)
+        calls = []
+        real_matmul, real_pad = np.matmul, np.pad
+
+        def spy(*args, **kwargs):
+            calls.append("matmul")
+            return real_matmul(*args, **kwargs)
+
+        def pad_spy(*args, **kwargs):
+            calls.append("pad")
+            return real_pad(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        monkeypatch.setattr(np, "pad", pad_spy)
+        got = conv2d(x, k, bias)
+        monkeypatch.undo()
+        assert calls == ["matmul"]
+        assert got.shape == (2, 3, 4, 6) and got.flags.c_contiguous
+        assert np.max(np.abs(got - conv2d_oracle(x, k, bias, 1, 0))) < 1e-12
+
+
 def conv2d_einsum_oracle(x, k, bias, stride, padding):
     """Reference cross-correlation: sliding_window_view windows contracted by einsum."""
     ph, pw = (padding, padding) if isinstance(padding, int) else padding
@@ -197,45 +221,6 @@ class TestBilinearSample:
         a, b = x[0, row, 2], x[0, row, 3]
         out = bilinear_sample(x, [(float(row), 2.0 + t)])
         assert out[0, 0] == pytest.approx((1 - t) * a + t * b, abs=1e-12)
-
-
-class TestRowSoftmax:
-    def test_uniform_rows(self):
-        out = row_softmax_inplace(np.full((3, 4), 1.7))
-        np.testing.assert_allclose(out, 0.25, atol=1e-15)
-
-    def test_closed_form(self):
-        out = row_softmax_inplace(np.array([[0.0, math.log(3.0)]]))
-        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
-
-    def test_large_value_no_overflow(self):
-        out = row_softmax_inplace(np.array([[1000.0, 0.0, 0.0]]))
-        assert np.all(np.isfinite(out))
-        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    @given(arrays(np.float64, (4, 5), elements=st.floats(min_value=-100, max_value=100)))
-    def test_rows_sum_to_one(self, x):
-        out = row_softmax_inplace(x.copy())
-        assert np.all(out >= 0)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
-    @given(arrays(np.float64, (3, 4), elements=st.floats(min_value=-50, max_value=50)),
-           st.floats(min_value=-100, max_value=100))
-    def test_shift_invariance(self, x, c):
-        np.testing.assert_allclose(row_softmax_inplace(x.copy()), row_softmax_inplace(x + c),
-                                   atol=1e-12)
-
-    def test_in_place_steps_match_fresh_arrays_oracle(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(scale=40.0, size=(6, 33))
-        x[1, 3] = np.inf
-        x[2] = -np.inf
-        x[3, 5] = np.nan
-        x[4, :3] = -0.0
-        before = x.copy()
-        with np.errstate(invalid="ignore"):
-            np.testing.assert_array_equal(row_softmax_inplace(x.copy()), row_softmax_oracle(x))
-        np.testing.assert_array_equal(x, before)
 
 
 def upsample2x_oracle(x):

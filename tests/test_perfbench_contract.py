@@ -77,3 +77,26 @@ def test_traced_forward_img_canary_cycle_passes_checks(tmp_path, perfbench_on_pa
     assert all(r.ok for r in results)
     assert tracer.self_times()["pyramid.dsf_forward"] > 0
     assert tracer.counts["snakeconv.gathered_values"] == 0
+
+
+def test_canary_heads_match_reference_to_1e12(perfbench_on_path):
+    # The 128 and 192 px canary heads, made as perfbench/make_reference.py
+    # makes them, within 1e-12 of each channel's largest reference value:
+    # a reordered GEMM moves them by about 1e-14, and the benchmark's own
+    # gate (workloads.HEAD_RTOL) is the looser 1e-9.
+    from textshaper import dataio, pyramid
+    from workloads import MODEL_SEED, REFERENCE, ForwardImg, render_image
+
+    reference = np.load(REFERENCE)
+    spec = pyramid.PyramidSpec()
+    stub = pyramid.init_stub_params(MODEL_SEED, channels=spec.channels)
+    params = pyramid.init_dsf_params(spec, MODEL_SEED)
+    rng = np.random.default_rng(ForwardImg.CANARY_SEED)
+    assert ForwardImg.slot_kinds == (128, 192)
+    for size in ForwardImg.slot_kinds:
+        image = render_image(rng, size, dataio.synth_maps)
+        head = pyramid.dsf_forward(pyramid.backbone_stub(image, stub), params, spec).head
+        want = reference[f"head{size}"]
+        scale = np.abs(want).max(axis=(0, 2, 3), keepdims=True)
+        assert head.shape == want.shape
+        assert np.all(np.abs(head - want) <= 1e-12 * scale), size

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from textshaper import grids
 from textshaper.grids import ShapeMismatchError, conv2d
 from textshaper.maps import CHANNELS
-from textshaper.pyramid import (LEVELS, SNAKE_LENGTH, AttentionParams, BlockParams, DsfParams,
-                                PyramidSpec, backbone_stub, dsf_forward, gated_attention,
-                                geometry_maps_from_head, init_dsf_params, init_stub_params,
-                                modulation_block)
+from textshaper.pyramid import (INIT_SCALE, LEVELS, SNAKE_LENGTH, AttentionParams, BlockParams,
+                                DsfParams, PyramidSpec, backbone_stub, dsf_forward,
+                                gated_attention, geometry_maps_from_head, init_dsf_params,
+                                init_stub_params, modulation_block)
 from textshaper.snakeconv import HORIZONTAL, VERTICAL, SnakeKernel
 
 
@@ -43,6 +45,8 @@ def zero_params(spec):
 
 
 class TestGatedAttention:
+    # Tokens are channel-major (d, n): column j is token j.
+
     def test_two_token_closed_form(self):
         v = np.array([[1.0, 0.0], [0.0, 2.0]])
         w_q = np.array([[0.5, -0.25], [0.1, 0.3]])
@@ -50,7 +54,7 @@ class TestGatedAttention:
         b_q = np.array([0.05, -0.1])
         b_k = np.array([0.2, 0.0])
         params = AttentionParams(w_q=w_q, w_k=w_k, b_q=b_q, b_k=b_k)
-        out = gated_attention(v, params)
+        out = gated_attention(v.T, params).T
 
         def sig(z):
             return 1.0 / (1.0 + math.exp(-z))
@@ -70,25 +74,25 @@ class TestGatedAttention:
         np.testing.assert_allclose(out, expected_att @ v, atol=1e-12)
 
     def test_chunked_matches_full(self, monkeypatch):
-        import textshaper.grids as grids
-        import textshaper.pyramid as pyr
         rng = np.random.default_rng(1)
         v = rng.normal(size=(32, 3))
         params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
                                  b_q=rng.normal(size=3), b_k=rng.normal(size=3))
-        full = gated_attention(v, params)
-        chunks = []
-        real_softmax = pyr.row_softmax_inplace
+        full = gated_attention(v.T, params).T
+        shapes = []
+        real_exp = np.exp
 
-        def spy(s):
-            chunks.append(s.shape)
-            return real_softmax(s)
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_exp(a, *args, **kwargs)
 
-        # Seven query rows of 32 scores each per chunk.
+        # Seven query columns of 32 scores each per chunk.
         monkeypatch.setattr(grids, "CHUNK_BYTES", 8 * 32 * 7)
-        monkeypatch.setattr(pyr, "row_softmax_inplace", spy)
-        chunked = gated_attention(v, params)
-        assert chunks == [(7, 32)] * 4 + [(4, 32)]
+        monkeypatch.setattr(np, "exp", spy)
+        chunked = gated_attention(v.T, params).T
+        monkeypatch.undo()
+        # The two logistic gates exponentiate (3, 32) arrays; the rest are score chunks.
+        assert [s for s in shapes if s != (3, 32)] == [(7, 32)] * 4 + [(4, 32)]
         np.testing.assert_allclose(chunked, full, atol=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -97,10 +101,29 @@ class TestGatedAttention:
         params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
                                  b_q=rng.normal(size=3), b_k=rng.normal(size=3))
         v = rng.normal(size=(n, 3))
-        out = gated_attention(v, params)
+        out = gated_attention(v.T, params).T
         assert out.shape == (n, 3)
         # A lone token attends only to itself.
         np.testing.assert_allclose(out, v, atol=1e-15)
+
+    def test_working_set_is_two_gates_and_one_score_chunk(self):
+        # The finest level of a 192 px image: 2304 tokens of 512 channels.
+        rng = np.random.default_rng(6)
+        d, n = 512, 2304
+        tokens = rng.normal(size=(d, n))
+        params = AttentionParams(w_q=rng.uniform(-0.05, 0.05, (d, d)),
+                                 w_k=rng.uniform(-0.05, 0.05, (d, d)),
+                                 b_q=rng.uniform(-0.05, 0.05, d), b_k=rng.uniform(-0.05, 0.05, d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gated_attention(tokens, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows = min(n, grids.CHUNK_BYTES // (8 * n))
+        # 1 MB covers the per-row maxima and sums of a chunk.
+        assert peak < 8 * (2 * d * n + rows * n) + (1 << 20)
 
 
 class TestModulationBlock:
@@ -230,6 +253,23 @@ class TestPyramidSpec:
         params = init_dsf_params(small_spec(), seed=0)
         assert len(params.blocks) == LEVELS
         assert params.blocks[0].snake_h.weights.shape == (8, 16, SNAKE_LENGTH)
+
+    def test_init_draws_every_array_in_its_own_c_order(self):
+        # 10 channels: not a whole number of the snake draw's channel groups.
+        c, d = 10, 20
+        params = init_dsf_params(small_spec(c), seed=3)
+        rng = np.random.default_rng(3)
+        u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+        for b in params.blocks:
+            a = b.attention
+            for got, shape in [(b.conv_w, (c, d, 3, 3)), (b.conv_b, (c,)),
+                               (b.snake_h.weights, (c, d, SNAKE_LENGTH)),
+                               (b.snake_v.weights, (c, d, SNAKE_LENGTH)),
+                               (a.w_q, (d, d)), (a.w_k, (d, d)), (a.b_q, (d,)), (a.b_k, (d,)),
+                               (b.proj_w, (c, d, 1, 1)), (b.proj_b, (c,))]:
+                np.testing.assert_array_equal(got, u(*shape))
+        np.testing.assert_array_equal(params.head_w, u(len(CHANNELS), c, 3, 3))
+        np.testing.assert_array_equal(params.head_b, u(len(CHANNELS)))
 
     @pytest.mark.parametrize("channels", [0, -8, True, 8.0, "8", None])
     def test_rejects_bad_channels(self, channels):

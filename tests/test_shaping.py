@@ -448,15 +448,43 @@ class TestMorphology:
         np.testing.assert_array_equal(dilate(m, k), dilate_oracle(m, k))
         np.testing.assert_array_equal(erode(m, k), erode_oracle(m, k))
 
+    @staticmethod
+    def border_masks(rng):
+        """Random masks with set pixels on all four borders, each also as a
+        transposed and a sliced (non-contiguous) view."""
+        for shape in [(1, 17), (17, 1), (1, 1), (13, 19), (2, 3)]:
+            m = rng.uniform(size=shape) < rng.uniform(0.2, 0.9)
+            for edge in (m[0], m[-1], m[:, 0], m[:, -1]):
+                edge |= rng.uniform(size=edge.size) < 0.5
+            big = np.zeros((2 * shape[0] + 1, shape[1] + 3), dtype=bool)
+            big[1::2, 2:-1] = m
+            yield from (m, m.T, big[1::2, 2:-1])
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_separable_matches_2d_window(self, seed, k):
-        rng = np.random.default_rng(seed)
-        for shape in [(1, 17), (17, 1), (1, 1), (13, 19), (2, 3)]:
-            m = rng.uniform(size=shape) < rng.uniform(0.2, 0.9)
-            m[0, :] |= rng.uniform(size=shape[1]) < 0.5  # shapes touching the border
+        for m in self.border_masks(np.random.default_rng(seed)):
             np.testing.assert_array_equal(dilate(m, k), square_window_oracle(m, k))
             np.testing.assert_array_equal(erode(m, k), square_window_oracle(m, k, all_=True))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_closing_matches_2d_window(self, seed, k):
+        # The closing of the frame padded by the kernel radius, cropped back.
+        r = k // 2
+        for m in self.border_masks(np.random.default_rng(100 + seed)):
+            padded = np.pad(m, r)
+            want = square_window_oracle(square_window_oracle(padded, k), k, all_=True)
+            got = close_binary(m, k)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want[r:r + m.shape[0], r:r + m.shape[1]])
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_empty_mask_keeps_shape(self, shape, k):
+        m = np.zeros(shape, dtype=bool)
+        for op in (dilate, erode, close_binary):
+            assert op(m, k).shape == shape
 
     def test_closing_solid_rectangle_unchanged(self):
         m = np.zeros((16, 16), dtype=bool)
