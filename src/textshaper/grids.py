@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Byte budget of one block of conv2d's column buffer, of one chunk of
-# gated attention's score matrix, of one block of polygon_iou's
-# temporaries and of one block of synth_maps' tile bounds. Read at call
-# time, except by polygon_iou's work budgets, which are fixed at import.
+# Byte budget of one chunk of gated attention's score matrix, of one block
+# of polygon_iou's temporaries and of one block of synth_maps' tile
+# bounds. Read at call time, except by polygon_iou's work budgets, which
+# are fixed at import. conv2d needs no budget: its scratch is one tap's
+# product, the size of its output.
 CHUNK_BYTES = 64 << 20
 
 
@@ -34,14 +35,26 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
     stride is an int >= 1; padding is a non-negative int or a (ph, pw)
     pair. Output spatial size is (H + 2*ph - kh)//stride + 1 per axis.
 
-    Evaluated as im2col plus GEMM, in blocks of output rows: for each
-    block, each kernel tap (i, j) copies its strided window of the padded
-    input into a (B, Cin, kh, kw, rows, Wo) column buffer, which one matmul
-    with the (Cout, Cin*kh*kw) kernel contracts into the block's rows of
-    the output. A block holds as many rows as fit in CHUNK_BYTES (at least
-    one), and every block reuses the same buffer. A 1x1 kernel at stride 1
-    without padding is one matmul on the (B, Cin, H*W) view of the input,
-    with no padded copy and no column buffer.
+    Evaluated by shifted taps, the accumulating "kn2row" scheme of
+    Anderson et al. (arXiv 1709.03395): one GEMM per kernel tap and no
+    column buffer. Tap (i, j) reads input pixel (s*y + i - ph,
+    s*x + j - pw) for output pixel (y, x). At stride s the input is split
+    into its s*s polyphase grids (Vaidyanathan, Multirate Systems and
+    Filter Banks, 1993), grid (a, b) holding the pixels (s*r + a, s*c + b),
+    so each tap reads one grid at a whole-pixel shift; at stride 1 the one
+    grid is the input itself, not copied. The taps then go to
+    `_shifted_taps`. When the s*s grids together have no more channels
+    than the output, the taps that share a shift are merged into one GEMM
+    over the grids stacked as channels, with zero blocks for the grids the
+    shift does not read: with so few input channels a GEMM costs about one
+    pass over its output, so fewer, wider GEMMs are cheaper.
+
+    The kernel's (kh*kw, Cout, Cin) tap matrices are read without a copy
+    from a kernel stored tap-major, as the (Cout, Cin, kh, kw) view of
+    such an array; any other layout is copied once per call. The taps run
+    on a frame of the polyphase grids' size, grown to the output size if
+    the padding is wider than the kernel's reach, and the output is
+    cropped from it when the padding is narrower.
     """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an int >= 1, got {stride!r}")
@@ -50,14 +63,18 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
                              for p in pads):
         raise ValueError(f"padding must be an int >= 0 or a pair of them, got {padding!r}")
     x = as_grid(x, 4)
-    k = as_grid(kernel, 4)
+    # asarray, not as_grid: a tap-major kernel stays a view.
+    k = np.asarray(kernel, dtype=np.float64)
+    if k.ndim != 4:
+        raise ShapeMismatchError(f"expected a 4-d grid, got {k.ndim}-d shape {k.shape}")
     cout, cin, kh, kw = k.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatchError(f"kernel height/width must be odd, got {kh}x{kw}")
     if x.shape[1] != cin:
         raise ShapeMismatchError(
             f"input channel dimension {x.shape[1]} does not match kernel input channels {cin}")
-    ph, pw = pads
+    ph, pw = (int(p) for p in pads)
+    s = int(stride)
     bsz, _, h, w = x.shape
     if h + 2 * ph < kh or w + 2 * pw < kw:
         raise ShapeMismatchError(
@@ -67,37 +84,81 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
         if b.shape != (cout,):
             raise ShapeMismatchError(
                 f"bias length {b.shape[0]} does not match output channels {cout}")
-    if kh == kw == stride == 1 and ph == pw == 0:
-        out = np.matmul(k.reshape(cout, cin), x.reshape(bsz, cin, h * w)).reshape(bsz, cout, h, w)
+    ho = (h + 2 * ph - kh) // s + 1
+    wo = (w + 2 * pw - kw) // s + 1
+    fh, fw = max(ho, -(-h // s)), max(wo, -(-w // s))
+    taps = np.ascontiguousarray(k.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
+    # Tap (i, j) reads polyphase grid p at shift (dy, dx).
+    plan = [(i * kw + j, (i - ph) % s * s + (j - pw) % s, (i - ph) // s, (j - pw) // s)
+            for i in range(kh) for j in range(kw)]
+    if s == 1 and (fh, fw) == (h, w):
+        src = x.reshape(1, bsz, cin, h * w)
     else:
-        out = _im2col_matmul(x, k, stride, ph, pw)
+        phases = np.zeros((bsz, s * s, cin, fh, fw))
+        for a in range(s):
+            for c in range(s):
+                phase = x[:, :, a::s, c::s]
+                phases[:, a * s + c, :, :phase.shape[2], :phase.shape[3]] = phase
+        src = phases.reshape(bsz, s * s, cin, fh * fw).transpose(1, 0, 2, 3)
+    if s > 1 and s * s * cin <= cout:
+        shifts = sorted({(dy, dx) for _, _, dy, dx in plan})
+        merged = np.zeros((len(shifts), cout, s * s, cin))
+        for t, p, dy, dx in plan:
+            merged[shifts.index((dy, dx)), :, p] = taps[t]
+        taps = merged.reshape(len(shifts), cout, s * s * cin)
+        src = phases.reshape(1, bsz, s * s * cin, fh * fw)
+        plan = [(g, 0, dy, dx) for g, (dy, dx) in enumerate(shifts)]
+    out = np.empty((bsz, cout, fh, fw))
+    _shifted_taps(src, taps, plan, fh, fw, out.reshape(bsz, cout, fh * fw))
+    if (fh, fw) != (ho, wo):
+        out = np.ascontiguousarray(out[:, :, :ho, :wo])
     if bias is not None:
         out += b[None, :, None, None]
     return out
 
 
-def _im2col_matmul(x: np.ndarray, k: np.ndarray, stride: int, ph: int, pw: int) -> np.ndarray:
-    """conv2d's general case, without bias: im2col blocks of output rows."""
-    bsz = x.shape[0]
-    cout, cin, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    ho = (xp.shape[2] - kh) // stride + 1
-    wo = (xp.shape[3] - kw) // stride + 1
-    taps = cin * kh * kw
-    rows = min(ho, max(1, CHUNK_BYTES // max(1, 8 * bsz * taps * wo)))
-    buf = np.empty(bsz * taps * rows * wo)
-    kmat = k.reshape(cout, taps)
-    out = np.empty((bsz, cout, ho, wo))
-    out_flat = out.reshape(bsz, cout, ho * wo)
-    for r0 in range(0, ho, rows):
-        r1 = min(r0 + rows, ho)
-        n = (r1 - r0) * wo
-        cols = buf[:bsz * taps * n].reshape(bsz, cin, kh, kw, r1 - r0, wo)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i + stride * r0:i + stride * r1:stride,
-                                      j:j + stride * wo:stride]
-        np.matmul(kmat, cols.reshape(bsz, taps, n), out=out_flat[:, :, r0 * wo:r1 * wo])
+def _shifted_taps(src, taps: np.ndarray, plan, h: int, w: int, out: np.ndarray,
+                 add: bool = False) -> np.ndarray:
+    """Sum of shifted per-tap GEMMs over an (h, w) frame, written into out.
+
+    src is a (P, B, Cin, h*w) stack of flattened input grids, taps a
+    (T, Cout, Cin) stack of C-contiguous tap matrices, and plan a sequence
+    of (t, p, dy, dx). For each, out[..., y, x] gets taps[t] @ src[p] at
+    pixel (y + dy, x + dx), zero outside the frame; out is (B, Cout, h*w).
+    With add, the taps are added to out's contents; otherwise out is
+    overwritten, and the first tap with no shift, if there is one, is
+    written by its GEMM straight into out.
+
+    Each other tap's product y_t goes to one scratch array, and a shift is
+    one flat shift of the pixel axis by dy*w + dx, so every add is over
+    contiguous runs. A horizontal shift would carry each row's first (or
+    last) |dx| pixels into the neighbouring row, so those columns of y_t
+    are zeroed first. A tap that shifts the whole frame out is skipped.
+    Only one y_t is alive at a time.
+    """
+    n = h * w
+    plan = [e for e in plan if abs(e[2]) < h and abs(e[3]) < w]
+    if not add:
+        first = next((e for e in plan if e[2] == e[3] == 0), None)
+        if first is None:
+            out[...] = 0.0
+        else:
+            np.matmul(taps[first[0]], src[first[1]], out=out)
+            plan.remove(first)
+    if not plan:
+        return out
+    y_t = np.empty(out.shape)
+    cols = y_t.reshape(*out.shape[:-1], h, w)
+    for t, p, dy, dx in plan:
+        np.matmul(taps[t], src[p], out=y_t)
+        if dx > 0:
+            cols[..., :dx] = 0.0
+        elif dx < 0:
+            cols[..., dx:] = 0.0
+        # out[..., q] += y_t[..., q + shift], zero beyond the frame.
+        shift = dy * w + dx
+        lo, hi = max(shift, 0), n - max(-shift, 0)
+        out[..., lo - shift:hi - shift] += y_t[..., lo:hi]
     return out
 
 
@@ -153,9 +214,36 @@ def resize_bilinear(x, out_h, out_w) -> np.ndarray:
 
 
 def upsample2x(x) -> np.ndarray:
-    """Bilinearly upsample (B,C,H,W) to (B,C,2H,2W)."""
+    """Bilinearly upsample (B,C,H,W) to (B,C,2H,2W), half-pixel aligned.
+
+    The rows are blended first, then the columns, each as fixed-weight
+    blends of strided slices: output row 2r is x[r-1]/4 + 3x[r]/4 and row
+    2r+1 is 3x[r]/4 + x[r+1]/4, and the first and last rows copy the edge
+    rows. That is resize_bilinear's arithmetic, except at the edges, where
+    the copy also keeps a non-finite neighbour out: every output is a
+    blend of only the inputs it weights.
+    """
     x = as_grid(x, 4)
-    return resize_bilinear(x, 2 * x.shape[2], 2 * x.shape[3])
+    return _blend2x(_blend2x(x, -2), -1)
+
+
+def _blend2x(x: np.ndarray, axis: int) -> np.ndarray:
+    """upsample2x's pass along one axis (-2 or -1) of x."""
+    def at(a, index):
+        return a[(Ellipsis, index) + (slice(None),) * (-1 - axis)]
+
+    shape = list(x.shape)
+    shape[axis] *= 2
+    out = np.empty(shape)
+    quarter = 0.25 * x
+    three_quarters = 0.75 * x
+    np.add(at(quarter, slice(None, -1)), at(three_quarters, slice(1, None)),
+           out=at(out, slice(2, None, 2)))
+    np.add(at(three_quarters, slice(None, -1)), at(quarter, slice(1, None)),
+           out=at(out, slice(1, -1, 2)))
+    at(out, 0)[...] = at(x, 0)
+    at(out, -1)[...] = at(x, -1)
+    return out
 
 
 def logistic(x) -> np.ndarray:

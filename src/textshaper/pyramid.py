@@ -11,13 +11,17 @@ tokens before a 1x1 projection back to the level width. The finest level
 feeds a head emitting text/center score maps (logistic squashed) and the
 five rotated-rectangle regression channels.
 
-Beyond the feature maps themselves, the working set does not grow with
-the input: the 3x3 convolutions' im2col blocks and the attention's score
-chunks are each sized to grids.CHUNK_BYTES and reuse one buffer. Nothing
-is copied just to change layout: the branch outputs are written (3x3) and
-added (snake) straight into the token grid, attention reads and writes
-that grid's channel-major (d, H*W) view, the snake taps are stored in the
-layout their GEMMs read, and the 1x1 projection is one GEMM on the grid.
+Every convolution (the level's 3x3, the snake branches, the head and the
+backbone stub's strided convs) runs as shifted taps: one GEMM per kernel
+tap, with the kernels stored tap-major, in the layout those GEMMs read, so
+no column buffer or weight copy is made. Beyond the feature maps
+themselves, the working set does not grow with the input: a convolution's
+scratch is one tap's product, and the attention's score chunks are sized
+to grids.CHUNK_BYTES and reuse one buffer. Nothing is copied just to
+change layout: the branch outputs are written (3x3) and added (snake)
+straight into the token grid, the 1x1 projection is one GEMM on that grid,
+run before attention on the values (it commutes with the attention
+average), and attention reads the grid's channel-major (d, H*W) view.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .grids import (ShapeMismatchError, _logistic_inplace, as_grid, conv2d, logistic, relu,
+from .grids import (ShapeMismatchError, _logistic_inplace, as_grid, conv2d, logistic,
                     upsample2x)
 from .maps import CHANNELS, GeometryMaps
 from .snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
@@ -106,46 +110,57 @@ class DsfOutput:
 def init_dsf_params(spec: PyramidSpec, seed: int = 0) -> DsfParams:
     """Seeded uniform [-INIT_SCALE, INIT_SCALE] parameters for every block.
 
-    Every array is drawn in its own C order, one after another. A snake
-    kernel's (cout, cin, length) draw is made eight output channels at a
-    time, with the arithmetic of rng.uniform, into one small buffer that
-    is scattered into the kernel's tap-major store, so the kernel is never
-    held in both layouts.
+    Every array is drawn in its own C order, one after another; the conv,
+    head and snake kernels go through `_uniform_taps`, which stores them
+    tap-major.
     """
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
     c = spec.channels
     d = 2 * c
-
-    def snake(axis):
-        taps = np.empty((SNAKE_LENGTH, c, d))
-        buf = np.empty((8, d, SNAKE_LENGTH))
-        for lo in range(0, c, 8):
-            b = buf[:min(8, c - lo)]
-            # rng.uniform(low, high) draws low + (high - low) * rng.random().
-            rng.random(out=b)
-            b *= 2 * INIT_SCALE
-            b -= INIT_SCALE
-            taps[:, lo:lo + len(b)] = b.transpose(2, 0, 1)
-        return SnakeKernel(axis, taps.transpose(1, 2, 0))
-
     blocks = tuple(BlockParams(
-        conv_w=u(c, d, 3, 3), conv_b=u(c),
-        snake_h=snake(HORIZONTAL), snake_v=snake(VERTICAL),
+        conv_w=_uniform_taps(rng, c, d, 3, 3), conv_b=u(c),
+        snake_h=SnakeKernel(HORIZONTAL, _uniform_taps(rng, c, d, SNAKE_LENGTH)),
+        snake_v=SnakeKernel(VERTICAL, _uniform_taps(rng, c, d, SNAKE_LENGTH)),
         attention=AttentionParams(w_q=u(d, d), w_k=u(d, d), b_q=u(d), b_k=u(d)),
         proj_w=u(c, d, 1, 1), proj_b=u(c),
     ) for _ in range(LEVELS))
-    return DsfParams(blocks=blocks, head_w=u(len(CHANNELS), c, 3, 3),
+    return DsfParams(blocks=blocks, head_w=_uniform_taps(rng, len(CHANNELS), c, 3, 3),
                      head_b=u(len(CHANNELS)))
 
 
-def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
+def _uniform_taps(rng: np.random.Generator, cout: int, cin: int, *kernel: int) -> np.ndarray:
+    """rng.uniform(-INIT_SCALE, INIT_SCALE, (cout, cin, *kernel)), stored tap-major.
+
+    The result is the (cout, cin, *kernel) view of a C-contiguous
+    (prod(kernel), cout, cin) store, the layout in which conv2d and
+    dsc_forward feed each tap's (cout, cin) matrix to BLAS. The draw is
+    made eight output channels at a time, with the arithmetic of
+    rng.uniform, into one small buffer that is scattered into the store,
+    so the kernel is never held in both layouts.
+    """
+    ntaps = math.prod(kernel)
+    taps = np.empty((ntaps, cout, cin))
+    buf = np.empty((min(8, cout), cin, ntaps))
+    for lo in range(0, cout, 8):
+        b = buf[:min(8, cout - lo)]
+        # rng.uniform(low, high) draws low + (high - low) * rng.random().
+        rng.random(out=b)
+        b *= 2 * INIT_SCALE
+        b -= INIT_SCALE
+        taps[:, lo:lo + len(b)] = b.transpose(2, 0, 1)
+    return np.moveaxis(taps.reshape(*kernel, cout, cin), (-2, -1), (0, 1))
+
+
+def gated_attention(tokens, params: AttentionParams, values) -> np.ndarray:
     """Self-attention over (d, n) channel-major tokens: softmax(g(Q) g(K)^T / sqrt(d_k)) V.
 
     Column j of tokens is token j, as in a (d, H, W) feature grid flattened
-    to (d, H*W), and the result has the same layout. The gate g is the
-    logistic function, the raw tokens serve as values and d_k is the key
-    dimension; 1/sqrt(d_k) is folded into the query gate.
+    to (d, H*W). The gate g is the logistic function, d_k is the key
+    dimension, and 1/sqrt(d_k) is folded into the query gate. values is
+    an (m, n) array, m <= d, whose column j is token j's value (the tokens
+    themselves, or a linear map of them); the result is (m, n), in the
+    same layout.
 
     Both gates lie in [0, 1], so every scaled score lies in [0, sqrt(d_k)]:
     the scores are exponentiated as they are, without the usual shift by
@@ -156,25 +171,31 @@ def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
     grids.CHUNK_BYTES (at least one column), so the n x n attention matrix
     is never held whole. Every chunk reuses one score buffer and
     exponentiates it in place, and the softmax normalisation is deferred:
-    the (d, rows) value product is divided by the row sums, instead of the
-    (rows, n) scores, and written into the query gate's columns that the
-    chunk has just consumed. AttentionParams makes d_k equal d, so the
-    gate's buffer holds the output and no third (d, n) array is made.
+    the (m, rows) value product is divided by the row sums, instead of the
+    (rows, n) scores, and written into the first m rows of the query
+    gate's columns that the chunk has just consumed. AttentionParams makes
+    d_k equal d, so the gate's buffer holds the output, which is returned
+    as a view of its first m rows, and no third array is made.
     """
-    v = as_grid(tokens, 2)
-    if v.shape[0] != params.w_q.shape[1]:
+    t = as_grid(tokens, 2)
+    v = as_grid(values, 2)
+    d, n = t.shape
+    if d != params.w_q.shape[1]:
         raise ShapeMismatchError(
-            f"token dimension {v.shape[0]} does not match attention weights {params.w_q.shape}")
+            f"token dimension {d} does not match attention weights {params.w_q.shape}")
+    if v.shape[1] != n or v.shape[0] > d:
+        raise ShapeMismatchError(
+            f"values {v.shape} must be (m, {n}) with m <= token dimension {d}")
     # Each gate is computed in its projection's buffer, so no result array
     # of size (d_k, n) is held beside the gates.
-    q = params.w_q @ v
+    q = params.w_q @ t
     q += params.b_q[:, None]
     _logistic_inplace(q)
     q *= 1.0 / math.sqrt(params.w_k.shape[0])
-    k = params.w_k @ v
+    k = params.w_k @ t
     k += params.b_k[:, None]
     _logistic_inplace(k)
-    n = v.shape[1]
+    m = v.shape[0]
     rows = max(1, grids.CHUNK_BYTES // max(1, 8 * n))
     buf = np.empty((min(rows, n), n))
     for lo in range(0, n, rows):
@@ -182,9 +203,9 @@ def gated_attention(tokens, params: AttentionParams) -> np.ndarray:
         s = np.matmul(q[:, lo:hi].T, k, out=buf[:hi - lo])
         np.exp(s, out=s)
         total = s.sum(axis=1)
-        out = np.matmul(v, s.T, out=q[:, lo:hi])
+        out = np.matmul(v, s.T, out=q[:m, lo:hi])
         out /= total
-    return q
+    return q[:m]
 
 
 def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
@@ -194,8 +215,14 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     same shape. The 3x3 branch is written, and both snake branches are
     added, straight into one (B, 2C, H, W) token grid, whose (2C, H*W) view
     per item is attention's token layout. The concatenated input is dropped
-    before attention runs, and each item's attention output overwrites its
-    tokens before the 1x1 projection.
+    before attention runs.
+
+    The level's 1x1 projection is linear and each softmax row sums to 1,
+    so proj(attn V) + b = attn (proj V) + b: the projection (without its
+    bias) runs first, on the tokens, and attention takes the C-channel
+    projected values instead of the 2C-channel tokens, halving its value
+    product. Each item's attention output, plus the bias, then overwrites
+    that item's projected values, which are the block's output.
     """
     c_i = as_grid(c_i, 4)
     f_prev = as_grid(f_prev, 4)
@@ -210,12 +237,14 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     dsc_forward(x, params.snake_h, out=v[:, c:])
     dsc_forward(x, params.snake_v, out=v[:, c:])
     del x
-    d = v.shape[1]
+    values = conv2d(v, params.proj_w)
+    d, m, n = v.shape[1], values.shape[1], h * w
     for i in range(b):
-        # gated_attention returns a new array, so its result can replace
-        # the tokens it was computed from.
-        v[i] = gated_attention(v[i].reshape(d, h * w), params.attention).reshape(d, h, w)
-    return conv2d(v, params.proj_w, params.proj_b)
+        # Item i's values are read only by its own attention call.
+        out = values[i].reshape(m, n)
+        np.add(gated_attention(v[i].reshape(d, n), params.attention, out),
+               params.proj_b[:, None], out=out)
+    return values
 
 
 def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = None) -> DsfOutput:
@@ -268,10 +297,12 @@ class StubParams:
 
 
 def init_stub_params(seed: int = 0, channels: int = 256) -> StubParams:
+    """Seeded uniform [-INIT_SCALE, INIT_SCALE] stub convolutions, each
+    kernel then bias in C order, the kernels stored tap-major."""
     rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
     dims = [1, STUB_WIDTH, channels, channels, channels, channels]
-    convs = tuple((u(dims[i + 1], dims[i], 3, 3), u(dims[i + 1])) for i in range(5))
+    convs = tuple((_uniform_taps(rng, dims[i + 1], dims[i], 3, 3),
+                   rng.uniform(-INIT_SCALE, INIT_SCALE, dims[i + 1])) for i in range(5))
     return StubParams(convs=convs)
 
 
@@ -288,7 +319,8 @@ def backbone_stub(image, params: StubParams) -> list[np.ndarray]:
     x = img[None, None]
     feats = []
     for i, (wgt, b) in enumerate(params.convs):
-        x = relu(conv2d(x, wgt, b, stride=2, padding=1))
+        x = conv2d(x, wgt, b, stride=2, padding=1)
+        np.maximum(x, 0.0, out=x)
         if i >= 1:
             feats.append(x)
     return feats[::-1]

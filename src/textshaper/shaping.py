@@ -309,25 +309,6 @@ def _window_pass(flat: np.ndarray, row_len: int, kernel: int, reduce) -> np.ndar
     return flat
 
 
-def _square_window(mask, kernel: int, reduce) -> np.ndarray:
-    """`reduce` (np.logical_or or np.logical_and) over each pixel's
-    kernel x kernel window, outside the frame counting as False."""
-    m = np.asarray(mask, dtype=bool)
-    padded = np.pad(m, kernel // 2, constant_values=False)
-    flat = _window_pass(padded.ravel(), padded.shape[1], kernel, reduce)
-    return flat.reshape(padded.shape)[:m.shape[0], :m.shape[1]].copy()
-
-
-def dilate(mask, kernel: int) -> np.ndarray:
-    """Binary dilation with a kernel x kernel square structuring element."""
-    return _square_window(mask, kernel, np.logical_or)
-
-
-def erode(mask, kernel: int) -> np.ndarray:
-    """Binary erosion with a kernel x kernel square structuring element."""
-    return _square_window(mask, kernel, np.logical_and)
-
-
 def close_binary(mask, kernel: int) -> np.ndarray:
     """Morphological closing (dilate then erode), border-safe.
 

@@ -6,9 +6,10 @@ Untrained, those offsets are zero and the snake is exactly a zero-padded
 standard 1-d convolution. This package has no training loop and no trained
 weights, so every kernel is straight.
 
-Evaluation is one GEMM per tap. Each tap's stored (Cout, Cin) weight matrix
-contracts the input channels first, and the Cout-channel result is added
-as a slice shifted along the kernel axis.
+Evaluation is grids.conv2d's shifted-tap scheme in one dimension: one GEMM
+per tap, in which the tap's stored (Cout, Cin) weight matrix contracts the
+input channels, and the Cout-channel result is added as a slice shifted
+along the kernel axis.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import ShapeMismatchError, _shifted_taps, as_grid
 # bilinear_sample is unused here; perfbench/tracing.py looks it up on snakeconv.
-from .grids import ShapeMismatchError, as_grid, bilinear_sample  # noqa: F401
+from .grids import bilinear_sample  # noqa: F401
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -76,21 +78,15 @@ def dsc_forward(x, kernel: SnakeKernel, out=None) -> np.ndarray:
     """Snake convolution of (B,Cin,H,W), producing (B,Cout,H,W).
 
     Every kernel is straight (see the module docstring), so this is a
-    zero-padded 1xL (or Lx1) convolution with the same weights. Tap
-    t = center + k costs one GEMM over every pixel, y_t = W_t @ x, with
-    the stored (cout, cin) tap matrix W_t, added to the output shifted by
-    k pixels along the kernel axis; a tap that shifts the whole axis out of
-    the frame is skipped. Only one tap's y_t is alive at a time.
-
-    Each shift is one flat shift of the (H*W) pixel axis, by k for a
-    horizontal kernel and by k*W for a vertical one, so every add is over
-    contiguous runs. A horizontal shift would carry each row's first (or
-    last) |k| pixels into the neighbouring row, so those columns of y_t
-    are zeroed first.
+    zero-padded 1xL (or Lx1) convolution with the same weights: the 1-d
+    case of grids.conv2d's shifted taps. Tap t = center + k is one GEMM
+    over every pixel with the stored (cout, cin) tap matrix, shifted by k
+    pixels along the kernel axis; a tap that shifts the whole axis out of
+    the frame is skipped.
 
     With out, a (B,Cout,H,W) array whose (H, W) planes are C-contiguous
     (a channel slice of a larger grid, say), the convolution is added into
-    out, which is returned; otherwise it is added into a new zero array.
+    out, which is returned; otherwise it is written into a new array.
     """
     x = as_grid(x, 4)
     b, cin, h, w = x.shape
@@ -98,32 +94,18 @@ def dsc_forward(x, kernel: SnakeKernel, out=None) -> np.ndarray:
         raise ShapeMismatchError(
             f"input channel dimension {cin} does not match kernel input channels {kernel.cin}")
     cout, length = kernel.cout, kernel.length
+    add = out is not None
     if out is None:
-        out = np.zeros((b, cout, h, w))
+        out = np.empty((b, cout, h, w))
     elif out.shape != (b, cout, h, w):
         raise ShapeMismatchError(f"out shape {out.shape} != output shape {(b, cout, h, w)}")
     elif out.strides[2:] != (out.itemsize * w, out.itemsize):
         raise ValueError(f"out must have C-contiguous (H, W) planes, got strides {out.strides}")
-    n = h * w
-    out_flat = out.reshape(b, cout, n)
     center = length // 2
-    horizontal = kernel.axis == HORIZONTAL
-    axis_len = w if horizontal else h
-    taps = kernel.taps
-    x_flat = x.reshape(b, cin, n)
-    y_t = np.empty((b, cout, n))
-    cols = y_t.reshape(b, cout, h, w)
-    for t in range(length):
-        k = t - center
-        if abs(k) >= axis_len:
-            continue
-        np.matmul(taps[t], x_flat, out=y_t)
-        if horizontal and k > 0:
-            cols[..., :k] = 0.0
-        elif horizontal and k < 0:
-            cols[..., k:] = 0.0
-        # out[..., p] += y_t[..., p + shift], zero beyond the border.
-        shift = k if horizontal else k * w
-        lo, hi = max(shift, 0), n - max(-shift, 0)
-        out_flat[..., lo - shift:hi - shift] += y_t[..., lo:hi]
+    if kernel.axis == HORIZONTAL:
+        plan = [(t, 0, 0, t - center) for t in range(length)]
+    else:
+        plan = [(t, 0, t - center, 0) for t in range(length)]
+    _shifted_taps(x.reshape(1, b, cin, h * w), kernel.taps, plan, h, w,
+                  out.reshape(b, cout, h * w), add=add)
     return out

@@ -123,6 +123,15 @@ def label8_bfs_oracle(mask):
     return labels, comps
 
 
+def conv2d_einsum_oracle(x, k, bias, stride, padding):
+    """Reference cross-correlation: sliding_window_view windows contracted by einsum."""
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, k.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.einsum("bchwkl,ockl->bohw", win, k, optimize=True)
+    return out + bias[None, :, None, None]
+
+
 def square_window_oracle(mask, kernel, all_=False):
     """Any (dilation) or all (erosion) over each pixel's kernel x kernel
     window, outside the frame False, as one 2-D window reduction."""

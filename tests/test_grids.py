@@ -1,13 +1,14 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 import textshaper.grids as grids
-from helpers import logistic_masked_oracle
+from helpers import conv2d_einsum_oracle, logistic_masked_oracle
 from textshaper.grids import (ShapeMismatchError, bilinear_sample, conv2d, logistic,
                               resize_bilinear, upsample2x)
 
@@ -108,30 +109,46 @@ class TestConv2d:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)), **{name: value})
 
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, (0, 1)), (2, (1, 0))])
-    def test_row_blocks_match_one_block(self, monkeypatch, stride, padding):
-        rng = np.random.default_rng(stride * 10 + np.sum(padding))
-        x = rng.normal(size=(2, 3, 9, 8))
-        k = rng.normal(size=(7, 3, 3, 3))
-        bias = rng.normal(size=7)
-        whole = conv2d(x, k, bias, stride=stride, padding=padding)
-        calls = []
-        real_matmul = np.matmul
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [1, (0, 1), (1, 0)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_shifted_taps_match_oracle(self, stride, padding, ksize):
+        # Sides of 1 (and 3 for 5x5) are narrower than the kernel's reach,
+        # so some taps shift the whole frame out; too-small inputs raise.
+        # One input channel into five takes the merged path at stride 2.
+        rng = np.random.default_rng(7 * stride + 3 * ksize + np.sum(padding))
+        ph, pw = (padding, padding) if isinstance(padding, int) else padding
+        for (h, w), (cin, cout) in itertools.product(
+                [(7, 6), (1, 6), (6, 1), (1, 1), (3, 8), (8, 3)], [(2, 3), (1, 5)]):
+            k = rng.normal(size=(cout, cin, ksize, ksize))
+            bias = rng.normal(size=cout)
+            x = rng.normal(size=(2, cin, h, w))
+            if h + 2 * ph < ksize or w + 2 * pw < ksize:
+                with pytest.raises(ShapeMismatchError, match="smaller than kernel"):
+                    conv2d(x, k, bias, stride=stride, padding=padding)
+                continue
+            want = conv2d_oracle(x, k, bias, stride, padding)
+            got = conv2d(x, k, bias, stride=stride, padding=padding)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.max(np.abs(got - want)) < 1e-12
 
-        def spy(*args, **kwargs):
-            calls.append(args[1].shape)
-            return real_matmul(*args, **kwargs)
-
-        # Two output rows per block: 8 bytes x batch x Cin*kh*kw x Wo x 2.
-        monkeypatch.setattr(grids, "CHUNK_BYTES", 8 * 2 * 27 * whole.shape[3] * 2)
-        monkeypatch.setattr(np, "matmul", spy)
-        blocked = conv2d(x, k, bias, stride=stride, padding=padding)
-        monkeypatch.undo()
-        assert len(calls) == -(-whole.shape[2] // 2) > 1
-        np.testing.assert_allclose(blocked, whole, atol=1e-12)
-        np.testing.assert_allclose(blocked, conv2d_oracle(x, k, bias, stride, padding),
-                                   atol=1e-12)
-
+    def test_working_set_holds_no_column_buffer(self):
+        # A (1, 512, 48, 48) input through a tap-major (256, 512, 3, 3)
+        # kernel: the finest level's 3x3 conv at 192 px. The kernel is
+        # 9.4 MB; the output and one tap product are 4.7 MB each.
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(1, 512, 48, 48))
+        taps = rng.uniform(-0.05, 0.05, (9, 256, 512))
+        k = taps.reshape(3, 3, 256, 512).transpose(2, 3, 0, 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            conv2d(x, k, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out_bytes = 8 * 256 * 48 * 48
+        assert peak < 2 * out_bytes + (1 << 20)
 
     def test_pointwise_kernel_is_one_matmul_without_padding(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -158,17 +175,8 @@ class TestConv2d:
         assert np.max(np.abs(got - conv2d_oracle(x, k, bias, 1, 0))) < 1e-12
 
 
-def conv2d_einsum_oracle(x, k, bias, stride, padding):
-    """Reference cross-correlation: sliding_window_view windows contracted by einsum."""
-    ph, pw = (padding, padding) if isinstance(padding, int) else padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, k.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.einsum("bchwkl,ockl->bohw", win, k, optimize=True)
-    return out + bias[None, :, None, None]
-
-
 class TestConv2dPyramidShapes:
-    """im2col conv2d against the einsum oracle at the pyramid's layer shapes."""
+    """Shifted-tap conv2d against the einsum oracle at the pyramid's layer shapes."""
 
     @pytest.mark.parametrize("cin,cout,ksize,stride,padding,side", [
         (512, 256, 3, 1, 1, 6),    # level 3x3 conv, coarsest levels
@@ -260,6 +268,32 @@ class TestUpsample2x:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 2, 3, 5))
         np.testing.assert_allclose(upsample2x(x), upsample2x_oracle(x), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (1, 2, 1, 3), (1, 1, 3, 1), (1, 1, 1, 1)])
+    def test_blends_equal_resize_bilinear(self, shape):
+        x = np.random.default_rng(11).normal(size=shape)
+        np.testing.assert_array_equal(upsample2x(x),
+                                      resize_bilinear(x, 2 * shape[2], 2 * shape[3]))
+
+    def test_infinite_pixel_reaches_only_its_weighted_outputs(self):
+        # An inf on the top edge beside the corner, a -inf on the right edge:
+        # the edge outputs copy their edge pixel instead of adding 0 * inf.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(1, 2, 4, 5))
+        finite = x.copy()
+        weighted = np.zeros((1, 2, 8, 10), dtype=bool)
+        for c, y, xx, value in [(0, 0, 1, np.inf), (1, 2, 4, -np.inf)]:
+            x[0, c, y, xx] = value
+            finite[0, c, y, xx] = 0.0
+            one = np.zeros((1, 1, 4, 5))
+            one[0, 0, y, xx] = 1.0
+            weighted[0, c] = upsample2x_oracle(one)[0, 0] > 0
+        out = upsample2x(x)
+        assert not np.isnan(out).any()
+        np.testing.assert_array_equal(np.isinf(out), weighted)
+        np.testing.assert_array_equal(out[0, 0][weighted[0, 0]], np.inf)
+        np.testing.assert_array_equal(out[0, 1][weighted[0, 1]], -np.inf)
+        np.testing.assert_array_equal(out[~weighted], upsample2x(finite)[~weighted])
 
     def test_resize_general_shape(self):
         rng = np.random.default_rng(9)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from textshaper import grids
+from helpers import conv2d_einsum_oracle
 from textshaper.grids import ShapeMismatchError, conv2d
 from textshaper.maps import CHANNELS
 from textshaper.pyramid import (INIT_SCALE, LEVELS, SNAKE_LENGTH, AttentionParams, BlockParams,
@@ -54,7 +55,7 @@ class TestGatedAttention:
         b_q = np.array([0.05, -0.1])
         b_k = np.array([0.2, 0.0])
         params = AttentionParams(w_q=w_q, w_k=w_k, b_q=b_q, b_k=b_k)
-        out = gated_attention(v.T, params).T
+        out = gated_attention(v.T, params, v.T).T
 
         def sig(z):
             return 1.0 / (1.0 + math.exp(-z))
@@ -78,7 +79,7 @@ class TestGatedAttention:
         v = rng.normal(size=(32, 3))
         params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
                                  b_q=rng.normal(size=3), b_k=rng.normal(size=3))
-        full = gated_attention(v.T, params).T
+        full = gated_attention(v.T, params, v.T).T
         shapes = []
         real_exp = np.exp
 
@@ -89,7 +90,7 @@ class TestGatedAttention:
         # Seven query columns of 32 scores each per chunk.
         monkeypatch.setattr(grids, "CHUNK_BYTES", 8 * 32 * 7)
         monkeypatch.setattr(np, "exp", spy)
-        chunked = gated_attention(v.T, params).T
+        chunked = gated_attention(v.T, params, v.T).T
         monkeypatch.undo()
         # The two logistic gates exponentiate (3, 32) arrays; the rest are score chunks.
         assert [s for s in shapes if s != (3, 32)] == [(7, 32)] * 4 + [(4, 32)]
@@ -101,7 +102,7 @@ class TestGatedAttention:
         params = AttentionParams(w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)),
                                  b_q=rng.normal(size=3), b_k=rng.normal(size=3))
         v = rng.normal(size=(n, 3))
-        out = gated_attention(v.T, params).T
+        out = gated_attention(v.T, params, v.T).T
         assert out.shape == (n, 3)
         # A lone token attends only to itself.
         np.testing.assert_allclose(out, v, atol=1e-15)
@@ -117,13 +118,34 @@ class TestGatedAttention:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            gated_attention(tokens, params)
+            gated_attention(tokens, params, tokens)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         rows = min(n, grids.CHUNK_BYTES // (8 * n))
         # 1 MB covers the per-row maxima and sums of a chunk.
         assert peak < 8 * (2 * d * n + rows * n) + (1 << 20)
+
+
+    def test_values_are_mapped_by_the_attention_matrix(self):
+        # Projected values give the projection of the attended tokens.
+        rng = np.random.default_rng(7)
+        d, n = 6, 10
+        tokens = rng.normal(size=(d, n))
+        proj = rng.normal(size=(4, d))
+        params = AttentionParams(w_q=rng.normal(size=(d, d)), w_k=rng.normal(size=(d, d)),
+                                 b_q=rng.normal(size=d), b_k=rng.normal(size=d))
+        want = proj @ gated_attention(tokens, params, tokens)
+        got = gated_attention(tokens, params, proj @ tokens)
+        assert got.shape == (4, n) and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7, 10), (4, 9)])
+    def test_values_shape_checked(self, shape):
+        rng = np.random.default_rng(8)
+        params = AttentionParams(w_q=np.eye(6), w_k=np.eye(6), b_q=np.zeros(6), b_k=np.zeros(6))
+        with pytest.raises(ShapeMismatchError, match="values"):
+            gated_attention(rng.normal(size=(6, 10)), params, rng.normal(size=shape))
 
 
 class TestModulationBlock:
@@ -151,6 +173,39 @@ class TestModulationBlock:
         uniform = np.tile(mean_token[:, None], (1, h * w)).reshape(1, d, h, w)
         expected = conv2d(uniform, params.proj_w, params.proj_b)
         np.testing.assert_allclose(out, expected, atol=1e-10)
+
+    def test_random_weights_match_unfolded_reference(self):
+        # Full width (512-row tokens) with non-zero attention weights, against
+        # the block in its original order: concat -> 3x3 conv + both snakes
+        # -> attention over the tokens themselves -> 1x1 projection + bias.
+        rng = np.random.default_rng(9)
+        c, h, w = 256, 5, 6
+        d, n = 2 * c, h * w
+        params = init_dsf_params(PyramidSpec(), seed=11).blocks[2]
+        att = params.attention
+        c_i = rng.normal(size=(2, c, h, w))
+        f_prev = rng.normal(size=(2, c, h, w))
+        got = modulation_block(c_i, f_prev, params)
+
+        x = np.concatenate([c_i, f_prev], axis=1)
+        tokens = np.concatenate(
+            [conv2d_einsum_oracle(x, params.conv_w, params.conv_b, 1, 1),
+             conv2d_einsum_oracle(x, params.snake_h.weights[:, :, None, :], np.zeros(c), 1,
+                                  (0, SNAKE_LENGTH // 2))
+             + conv2d_einsum_oracle(x, params.snake_v.weights[:, :, :, None], np.zeros(c), 1,
+                                    (SNAKE_LENGTH // 2, 0))], axis=1)
+        sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+        want = np.empty_like(got)
+        for i in range(2):
+            t = tokens[i].reshape(d, n)
+            q = sig(att.w_q @ t + att.b_q[:, None])
+            k = sig(att.w_k @ t + att.b_k[:, None])
+            scores = q.T @ k / math.sqrt(d)
+            a = np.exp(scores - scores.max(axis=1, keepdims=True))
+            a /= a.sum(axis=1, keepdims=True)
+            attended = (t @ a.T).reshape(1, d, h, w)
+            want[i] = conv2d_einsum_oracle(attended, params.proj_w, params.proj_b, 1, 0)[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_full_width_shape_contract(self):
         rng = np.random.default_rng(3)
@@ -270,6 +325,23 @@ class TestPyramidSpec:
                 np.testing.assert_array_equal(got, u(*shape))
         np.testing.assert_array_equal(params.head_w, u(len(CHANNELS), c, 3, 3))
         np.testing.assert_array_equal(params.head_b, u(len(CHANNELS)))
+
+    def test_kernels_are_stored_tap_major(self):
+        params = init_dsf_params(small_spec(10), seed=3)
+        kernels = [params.head_w] + [w for w, _ in init_stub_params(seed=3, channels=10).convs]
+        kernels += [b.conv_w for b in params.blocks]
+        for k in kernels:
+            # The (cout, cin, kh, kw) view of a C-contiguous (kh, kw, cout, cin) store.
+            assert k.transpose(2, 3, 0, 1).flags.c_contiguous
+
+    def test_stub_draws_every_array_in_its_own_c_order(self):
+        params = init_stub_params(seed=5, channels=10)
+        rng = np.random.default_rng(5)
+        u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+        dims = [1, 16, 10, 10, 10, 10]
+        for i, (wgt, b) in enumerate(params.convs):
+            np.testing.assert_array_equal(wgt, u(dims[i + 1], dims[i], 3, 3))
+            np.testing.assert_array_equal(b, u(dims[i + 1]))
 
     @pytest.mark.parametrize("channels", [0, -8, True, 8.0, "8", None])
     def test_rejects_bad_channels(self, channels):
