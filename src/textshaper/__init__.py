@@ -23,6 +23,6 @@ from .pyramid import (AttentionParams, DsfParams, PyramidSpec, backbone_stub, ds
 from .shaping import (OVERLAP_COUNTER, CenterPointSet, ShapingConfig, accumulate_and_close,
                       build_components, extract_centers, farthest_point_sample, nms_baseline,
                       shape_text, trace_contours)
-from .snakeconv import SnakeKernel, dsc_forward
+from .snakeconv import dsc_forward
 from .spatial import (build_position_mask, loss_sr, loss_ss, merge_positional,
                       positional_embedding)

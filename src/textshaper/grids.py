@@ -29,7 +29,7 @@ def as_grid(values, ndim=None) -> np.ndarray:
     return arr
 
 
-def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
+def conv2d(x, kernel, bias=None, stride=1, padding=0, out=None) -> np.ndarray:
     """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw), zero padding.
 
     stride is an int >= 1; padding is a non-negative int or a (ph, pw)
@@ -55,6 +55,13 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
     on a frame of the polyphase grids' size, grown to the output size if
     the padding is wider than the kernel's reach, and the output is
     cropped from it when the padding is narrower.
+
+    With out, a (B,Cout,Ho,Wo) array whose (Ho, Wo) planes are
+    C-contiguous (a channel slice of a larger grid, say), the convolution
+    and bias are added into out, which is returned. When the frame is the
+    output, as at stride 1 with padding kh//2 and kw//2, the taps add
+    straight into out; otherwise the frame is computed apart and its crop
+    added.
     """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an int >= 1, got {stride!r}")
@@ -86,6 +93,11 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
                 f"bias length {b.shape[0]} does not match output channels {cout}")
     ho = (h + 2 * ph - kh) // s + 1
     wo = (w + 2 * pw - kw) // s + 1
+    if out is not None:
+        if out.shape != (bsz, cout, ho, wo):
+            raise ShapeMismatchError(f"out shape {out.shape} != output shape {(bsz, cout, ho, wo)}")
+        if out.strides[2:] != (out.itemsize * wo, out.itemsize):
+            raise ValueError(f"out must have C-contiguous (H, W) planes, got strides {out.strides}")
     fh, fw = max(ho, -(-h // s)), max(wo, -(-w // s))
     taps = np.ascontiguousarray(k.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
     # Tap (i, j) reads polyphase grid p at shift (dy, dx).
@@ -108,10 +120,13 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> np.ndarray:
         taps = merged.reshape(len(shifts), cout, s * s * cin)
         src = phases.reshape(1, bsz, s * s * cin, fh * fw)
         plan = [(g, 0, dy, dx) for g, (dy, dx) in enumerate(shifts)]
-    out = np.empty((bsz, cout, fh, fw))
-    _shifted_taps(src, taps, plan, fh, fw, out.reshape(bsz, cout, fh * fw))
-    if (fh, fw) != (ho, wo):
-        out = np.ascontiguousarray(out[:, :, :ho, :wo])
+    direct = out is not None and (fh, fw) == (ho, wo)
+    frame = out if direct else np.empty((bsz, cout, fh, fw))
+    _shifted_taps(src, taps, plan, fh, fw, frame.reshape(bsz, cout, fh * fw), add=direct)
+    if out is None:
+        out = frame if (fh, fw) == (ho, wo) else np.ascontiguousarray(frame[:, :, :ho, :wo])
+    elif not direct:
+        out += frame[:, :, :ho, :wo]
     if bias is not None:
         out += b[None, :, None, None]
     return out

@@ -11,17 +11,18 @@ tokens before a 1x1 projection back to the level width. The finest level
 feeds a head emitting text/center score maps (logistic squashed) and the
 five rotated-rectangle regression channels.
 
-Every convolution (the level's 3x3, the snake branches, the head and the
-backbone stub's strided convs) runs as shifted taps: one GEMM per kernel
-tap, with the kernels stored tap-major, in the layout those GEMMs read, so
-no column buffer or weight copy is made. Beyond the feature maps
-themselves, the working set does not grow with the input: a convolution's
-scratch is one tap's product, and the attention's score chunks are sized
-to grids.CHUNK_BYTES and reuse one buffer. Nothing is copied just to
-change layout: the branch outputs are written (3x3) and added (snake)
-straight into the token grid, the 1x1 projection is one GEMM on that grid,
-run before attention on the values (it commutes with the attention
-average), and attention reads the grid's channel-major (d, H*W) view.
+Every convolution (the level's 3x3, the 1xL and Lx1 snake branches, the
+head and the backbone stub's strided convs) is a grids.conv2d call, run as
+shifted taps: one GEMM per kernel tap, with the kernels stored tap-major,
+in the layout those GEMMs read, so no column buffer or weight copy is
+made. Beyond the feature maps themselves, the working set does not grow
+with the input: a convolution's scratch is one tap's product, and the
+attention's score chunks are sized to grids.CHUNK_BYTES and reuse one
+buffer. Nothing is copied just to change layout: the branch outputs are
+written (3x3) and added (snake, through conv2d's out) straight into the
+token grid, the 1x1 projection is one GEMM on that grid, run before
+attention on the values (it commutes with the attention average), and
+attention reads the grid's channel-major (d, H*W) view.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import grids
 from .grids import (ShapeMismatchError, _logistic_inplace, as_grid, conv2d, logistic,
                     upsample2x)
 from .maps import CHANNELS, GeometryMaps
-from .snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
+from .snakeconv import dsc_forward
 
 INIT_SCALE = 0.05
 LEVELS = 4
@@ -85,8 +86,8 @@ class PyramidSpec:
 class BlockParams:
     conv_w: np.ndarray
     conv_b: np.ndarray
-    snake_h: SnakeKernel
-    snake_v: SnakeKernel
+    snake_h: np.ndarray
+    snake_v: np.ndarray
     attention: AttentionParams
     proj_w: np.ndarray
     proj_b: np.ndarray
@@ -120,8 +121,8 @@ def init_dsf_params(spec: PyramidSpec, seed: int = 0) -> DsfParams:
     d = 2 * c
     blocks = tuple(BlockParams(
         conv_w=_uniform_taps(rng, c, d, 3, 3), conv_b=u(c),
-        snake_h=SnakeKernel(HORIZONTAL, _uniform_taps(rng, c, d, SNAKE_LENGTH)),
-        snake_v=SnakeKernel(VERTICAL, _uniform_taps(rng, c, d, SNAKE_LENGTH)),
+        snake_h=_uniform_taps(rng, c, d, 1, SNAKE_LENGTH),
+        snake_v=_uniform_taps(rng, c, d, SNAKE_LENGTH, 1),
         attention=AttentionParams(w_q=u(d, d), w_k=u(d, d), b_q=u(d), b_k=u(d)),
         proj_w=u(c, d, 1, 1), proj_b=u(c),
     ) for _ in range(LEVELS))
@@ -133,11 +134,11 @@ def _uniform_taps(rng: np.random.Generator, cout: int, cin: int, *kernel: int) -
     """rng.uniform(-INIT_SCALE, INIT_SCALE, (cout, cin, *kernel)), stored tap-major.
 
     The result is the (cout, cin, *kernel) view of a C-contiguous
-    (prod(kernel), cout, cin) store, the layout in which conv2d and
-    dsc_forward feed each tap's (cout, cin) matrix to BLAS. The draw is
-    made eight output channels at a time, with the arithmetic of
-    rng.uniform, into one small buffer that is scattered into the store,
-    so the kernel is never held in both layouts.
+    (prod(kernel), cout, cin) store, the layout in which conv2d feeds each
+    tap's (cout, cin) matrix to BLAS. The draw is made eight output
+    channels at a time, with the arithmetic of rng.uniform, into one small
+    buffer that is scattered into the store, so the kernel is never held
+    in both layouts.
     """
     ntaps = math.prod(kernel)
     taps = np.empty((ntaps, cout, cin))
@@ -232,7 +233,7 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     x = np.concatenate([c_i, f_prev], axis=1)
     b, _, h, w = x.shape
     c = params.conv_w.shape[0]
-    v = np.zeros((b, c + params.snake_h.cout, h, w))
+    v = np.zeros((b, c + params.snake_h.shape[0], h, w))
     v[:, :c] = conv2d(x, params.conv_w, params.conv_b, padding=1)
     dsc_forward(x, params.snake_h, out=v[:, c:])
     dsc_forward(x, params.snake_v, out=v[:, c:])
@@ -291,26 +292,23 @@ def geometry_maps_from_head(head) -> GeometryMaps:
     return GeometryMaps.from_stack(head[0])
 
 
-@dataclass(frozen=True)
-class StubParams:
-    convs: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def init_stub_params(seed: int = 0, channels: int = 256) -> StubParams:
-    """Seeded uniform [-INIT_SCALE, INIT_SCALE] stub convolutions, each
-    kernel then bias in C order, the kernels stored tap-major."""
+def init_stub_params(seed: int = 0,
+                     channels: int = 256) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Seeded uniform [-INIT_SCALE, INIT_SCALE] stub convolutions: one
+    (kernel, bias) pair per conv, each kernel then bias drawn in C order,
+    the kernels stored tap-major."""
     rng = np.random.default_rng(seed)
     dims = [1, STUB_WIDTH, channels, channels, channels, channels]
-    convs = tuple((_uniform_taps(rng, dims[i + 1], dims[i], 3, 3),
-                   rng.uniform(-INIT_SCALE, INIT_SCALE, dims[i + 1])) for i in range(5))
-    return StubParams(convs=convs)
+    return tuple((_uniform_taps(rng, dims[i + 1], dims[i], 3, 3),
+                  rng.uniform(-INIT_SCALE, INIT_SCALE, dims[i + 1])) for i in range(5))
 
 
-def backbone_stub(image, params: StubParams) -> list[np.ndarray]:
+def backbone_stub(image, params) -> list[np.ndarray]:
     """Tiny strided-convolution feature extractor for running images end to end.
 
-    Takes a (H, W) grayscale grid with H and W divisible by 32 and returns
-    the LEVELS-level pyramid [1/32, 1/16, 1/8, 1/4], coarsest first.
+    Takes a (H, W) grayscale grid with H and W divisible by 32 and the
+    (kernel, bias) pairs of init_stub_params, and returns the LEVELS-level
+    pyramid [1/32, 1/16, 1/8, 1/4], coarsest first.
     """
     img = as_grid(image, 2)
     h, w = img.shape
@@ -318,7 +316,7 @@ def backbone_stub(image, params: StubParams) -> list[np.ndarray]:
         raise ShapeMismatchError(f"image sides must be divisible by 32, got {h}x{w}")
     x = img[None, None]
     feats = []
-    for i, (wgt, b) in enumerate(params.convs):
+    for i, (wgt, b) in enumerate(params):
         x = conv2d(x, wgt, b, stride=2, padding=1)
         np.maximum(x, 0.0, out=x)
         if i >= 1:

@@ -16,7 +16,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from helpers import convex_intersection_area_oracle, exact_iou_oracle, rasterize_oracle
+from helpers import (conv2d_einsum_oracle, convex_intersection_area_oracle, exact_iou_oracle,
+                     rasterize_oracle)
 from test_shaping import fps_oracle
 from textshaper.cli import _bench_candidates
 from textshaper.dataio import (AnnotationError, MapFileError, SynthBand, SynthSpec,
@@ -24,12 +25,11 @@ from textshaper.dataio import (AnnotationError, MapFileError, SynthBand, SynthSp
                                read_map, synth_maps, write_map)
 from textshaper.evaluation import ImageCounts, aggregate, harmonic_f1, match_image
 from textshaper.geometry import normalize_angle, polygon_area, polygon_iou, rasterize
-from textshaper.grids import conv2d
 from textshaper.losses import loss_seg, smooth_l1
 from textshaper.pyramid import PyramidSpec, dsf_forward, init_dsf_params
 from textshaper.shaping import (OVERLAP_COUNTER, farthest_point_sample_indices, nms_baseline,
                                 shape_text)
-from textshaper.snakeconv import HORIZONTAL, VERTICAL, SnakeKernel, dsc_forward
+from textshaper.snakeconv import dsc_forward
 from textshaper.spatial import loss_sr, loss_ss
 
 
@@ -338,16 +338,17 @@ def test_c08_snake_degeneracy():
             cout = int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
             length = int(rng.choice([3, 5, 9]))
-            axis = str(rng.choice([HORIZONTAL, VERTICAL]))
+            axis = str(rng.choice(["horizontal", "vertical"]))
             x = rng.normal(size=(b, cin, h, w))
             weights = rng.normal(size=(cout, cin, length))
-            got = dsc_forward(x, SnakeKernel(axis, weights))
-            if axis == HORIZONTAL:
-                want = conv2d(x, weights.reshape(cout, cin, 1, length),
-                              padding=(0, length // 2))
+            if axis == "horizontal":
+                kernel, padding = weights.reshape(cout, cin, 1, length), (0, length // 2)
             else:
-                want = conv2d(x, weights.reshape(cout, cin, length, 1),
-                              padding=(length // 2, 0))
+                kernel, padding = weights.reshape(cout, cin, length, 1), (length // 2, 0)
+            got = dsc_forward(x, kernel)
+            # dsc_forward is a conv2d call, so the reference is the
+            # independent sliding-window oracle.
+            want = conv2d_einsum_oracle(x, kernel, np.zeros(cout), 1, padding)
             assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -174,6 +174,39 @@ class TestConv2d:
         assert got.shape == (2, 3, 4, 6) and got.flags.c_contiguous
         assert np.max(np.abs(got - conv2d_oracle(x, k, bias, 1, 0))) < 1e-12
 
+    @pytest.mark.parametrize("kshape,stride,padding", [
+        ((1, 5), 1, (0, 2)),   # horizontal snake: the frame is the output
+        ((5, 1), 1, (2, 0)),   # vertical snake
+        ((3, 3), 1, 0),        # output cropped from the input-sized frame
+        ((3, 3), 2, 0),        # stride 2, cropped from the polyphase frame
+        ((3, 3), 2, 1),        # stride 2, the frame is the output
+        ((1, 1), 1, 1),        # frame grown to the output by wide padding
+    ], ids=["horizontal", "vertical", "crop", "stride2-crop", "stride2", "wide-padding"])
+    def test_out_accumulates_into_a_channel_slice(self, kshape, stride, padding):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(2, 3, 7, 6))
+        k = rng.normal(size=(2, 3, *kshape))
+        bias = rng.normal(size=2)
+        want = conv2d_oracle(x, k, bias, stride, padding)
+        grid = rng.normal(size=(2, 5, *want.shape[2:]))
+        before = grid.copy()
+        got = conv2d(x, k, bias, stride=stride, padding=padding, out=grid[:, 3:])
+        assert np.shares_memory(got, grid) and got.shape == want.shape
+        np.testing.assert_array_equal(grid[:, :3], before[:, :3])
+        assert np.max(np.abs(grid[:, 3:] - (before[:, 3:] + want))) < 1e-12
+
+    def test_out_shape_or_layout_mismatch(self):
+        k = np.ones((2, 3, 1, 3))
+        with pytest.raises(ShapeMismatchError, match="out shape"):
+            conv2d(np.zeros((1, 3, 4, 4)), k, padding=(0, 1), out=np.zeros((1, 3, 4, 4)))
+        # Output size (4, 2) without padding, not the input's (4, 4).
+        with pytest.raises(ShapeMismatchError, match="out shape"):
+            conv2d(np.zeros((1, 3, 4, 4)), k, out=np.zeros((1, 2, 4, 4)))
+        # Transposed planes cannot be added to as flat pixel runs.
+        with pytest.raises(ValueError, match="C-contiguous"):
+            conv2d(np.zeros((1, 3, 4, 4)), k, padding=(0, 1),
+                   out=np.zeros((1, 2, 4, 4)).transpose(0, 1, 3, 2))
+
 
 class TestConv2dPyramidShapes:
     """Shifted-tap conv2d against the einsum oracle at the pyramid's layer shapes."""

@@ -12,7 +12,6 @@ from textshaper.pyramid import (INIT_SCALE, LEVELS, SNAKE_LENGTH, AttentionParam
                                 DsfParams, PyramidSpec, backbone_stub, dsf_forward,
                                 gated_attention, geometry_maps_from_head, init_dsf_params,
                                 init_stub_params, modulation_block)
-from textshaper.snakeconv import HORIZONTAL, VERTICAL, SnakeKernel
 
 
 def small_spec(channels=8):
@@ -36,8 +35,7 @@ def zero_params(spec):
     d = 2 * c
     block = BlockParams(
         conv_w=np.zeros((c, d, 3, 3)), conv_b=np.zeros(c),
-        snake_h=SnakeKernel(HORIZONTAL, np.zeros((c, d, SNAKE_LENGTH))),
-        snake_v=SnakeKernel(VERTICAL, np.zeros((c, d, SNAKE_LENGTH))),
+        snake_h=np.zeros((c, d, 1, SNAKE_LENGTH)), snake_v=np.zeros((c, d, SNAKE_LENGTH, 1)),
         attention=AttentionParams(w_q=np.zeros((d, d)), w_k=np.zeros((d, d)),
                                   b_q=np.zeros(d), b_k=np.zeros(d)),
         proj_w=np.zeros((c, d, 1, 1)), proj_b=np.zeros(c))
@@ -155,8 +153,7 @@ class TestModulationBlock:
         d = 2 * c
         params = BlockParams(
             conv_w=rng.normal(size=(c, d, 3, 3)), conv_b=rng.normal(size=c),
-            snake_h=SnakeKernel(HORIZONTAL, rng.normal(size=(c, d, 3))),
-            snake_v=SnakeKernel(VERTICAL, rng.normal(size=(c, d, 3))),
+            snake_h=rng.normal(size=(c, d, 1, 3)), snake_v=rng.normal(size=(c, d, 3, 1)),
             attention=AttentionParams(w_q=np.zeros((d, d)), w_k=np.zeros((d, d)),
                                       b_q=np.zeros(d), b_k=np.zeros(d)),
             proj_w=rng.normal(size=(c, d, 1, 1)), proj_b=rng.normal(size=c))
@@ -190,10 +187,9 @@ class TestModulationBlock:
         x = np.concatenate([c_i, f_prev], axis=1)
         tokens = np.concatenate(
             [conv2d_einsum_oracle(x, params.conv_w, params.conv_b, 1, 1),
-             conv2d_einsum_oracle(x, params.snake_h.weights[:, :, None, :], np.zeros(c), 1,
-                                  (0, SNAKE_LENGTH // 2))
-             + conv2d_einsum_oracle(x, params.snake_v.weights[:, :, :, None], np.zeros(c), 1,
-                                    (SNAKE_LENGTH // 2, 0))], axis=1)
+             conv2d_einsum_oracle(x, params.snake_h, np.zeros(c), 1, (0, SNAKE_LENGTH // 2))
+             + conv2d_einsum_oracle(x, params.snake_v, np.zeros(c), 1, (SNAKE_LENGTH // 2, 0))],
+            axis=1)
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         want = np.empty_like(got)
         for i in range(2):
@@ -287,8 +283,7 @@ class TestDsfForward:
         params = init_dsf_params(spec, seed=3)
         blocks = tuple(
             BlockParams(conv_w=b.conv_w, conv_b=b.conv_b,
-                        snake_h=SnakeKernel(HORIZONTAL, np.zeros_like(b.snake_h.weights)),
-                        snake_v=SnakeKernel(VERTICAL, np.zeros_like(b.snake_v.weights)),
+                        snake_h=np.zeros_like(b.snake_h), snake_v=np.zeros_like(b.snake_v),
                         attention=b.attention, proj_w=b.proj_w, proj_b=b.proj_b)
             for b in params.blocks)
         ablated = DsfParams(blocks=blocks, head_w=params.head_w, head_b=params.head_b)
@@ -307,7 +302,7 @@ class TestPyramidSpec:
         assert spec.channels == 256
         params = init_dsf_params(small_spec(), seed=0)
         assert len(params.blocks) == LEVELS
-        assert params.blocks[0].snake_h.weights.shape == (8, 16, SNAKE_LENGTH)
+        assert params.blocks[0].snake_h.shape == (8, 16, 1, SNAKE_LENGTH)
 
     def test_init_draws_every_array_in_its_own_c_order(self):
         # 10 channels: not a whole number of the snake draw's channel groups.
@@ -318,8 +313,8 @@ class TestPyramidSpec:
         for b in params.blocks:
             a = b.attention
             for got, shape in [(b.conv_w, (c, d, 3, 3)), (b.conv_b, (c,)),
-                               (b.snake_h.weights, (c, d, SNAKE_LENGTH)),
-                               (b.snake_v.weights, (c, d, SNAKE_LENGTH)),
+                               (b.snake_h, (c, d, 1, SNAKE_LENGTH)),
+                               (b.snake_v, (c, d, SNAKE_LENGTH, 1)),
                                (a.w_q, (d, d)), (a.w_k, (d, d)), (a.b_q, (d,)), (a.b_k, (d,)),
                                (b.proj_w, (c, d, 1, 1)), (b.proj_b, (c,))]:
                 np.testing.assert_array_equal(got, u(*shape))
@@ -328,8 +323,8 @@ class TestPyramidSpec:
 
     def test_kernels_are_stored_tap_major(self):
         params = init_dsf_params(small_spec(10), seed=3)
-        kernels = [params.head_w] + [w for w, _ in init_stub_params(seed=3, channels=10).convs]
-        kernels += [b.conv_w for b in params.blocks]
+        kernels = [params.head_w] + [w for w, _ in init_stub_params(seed=3, channels=10)]
+        kernels += [k for b in params.blocks for k in (b.conv_w, b.snake_h, b.snake_v)]
         for k in kernels:
             # The (cout, cin, kh, kw) view of a C-contiguous (kh, kw, cout, cin) store.
             assert k.transpose(2, 3, 0, 1).flags.c_contiguous
@@ -339,7 +334,7 @@ class TestPyramidSpec:
         rng = np.random.default_rng(5)
         u = lambda *shape: rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
         dims = [1, 16, 10, 10, 10, 10]
-        for i, (wgt, b) in enumerate(params.convs):
+        for i, (wgt, b) in enumerate(params):
             np.testing.assert_array_equal(wgt, u(dims[i + 1], dims[i], 3, 3))
             np.testing.assert_array_equal(b, u(dims[i + 1]))
 
