@@ -11,6 +11,7 @@ hundreds of components, so that column shows their cost per frame:
 """
 
 import argparse
+import math
 import statistics
 import time
 
@@ -27,6 +28,16 @@ def main():
     ap.add_argument("--sigmas", type=float, nargs="+", default=[0.0, 0.05, 0.1])
     ap.add_argument("--iou", type=float, default=0.5)
     args = ap.parse_args()
+    if args.instances < 1:
+        ap.error(f"--instances must be >= 1, got {args.instances}")
+    if not 0.0 < args.iou <= 1.0:
+        ap.error(f"--iou must lie in (0, 1], got {args.iou}")
+    for gamma in args.gammas:
+        if not 0.0 < gamma <= 1.0:
+            ap.error(f"--gammas must lie in (0, 1], got {gamma}")
+    for sigma in args.sigmas:
+        if not 0.0 <= sigma < math.inf:
+            ap.error(f"--sigmas must be >= 0 and finite, got {sigma}")
 
     print(f"{'gamma':>6} {'sigma':>6} {'P(%)':>7} {'R(%)':>7} {'F1(%)':>7} {'shape(ms)':>9}")
     for gamma in args.gammas:

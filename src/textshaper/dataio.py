@@ -214,9 +214,9 @@ def read_map(path) -> dict[str, np.ndarray]:
         return out
 
 
-def write_map(path, grids) -> None:
+def write_map(path, sections) -> None:
     """Write named float64 arrays as a TMAP container (bit-exact round-trip)."""
-    items = list(grids.items())
+    items = list(sections.items())
     if len(items) > 0xFFFF:
         raise MapFileError(f"{path}: too many sections ({len(items)})")
     chunks = [MAP_MAGIC, struct.pack("<HH", MAP_VERSION, len(items))]
@@ -268,9 +268,9 @@ def _pgm_tokens(data: bytes, path, n: int) -> tuple[list[int], int]:
         elif c == ord("#"):
             while pos < len(data) and data[pos] not in b"\r\n":
                 pos += 1
-        elif chr(c).isdigit():
+        elif c in b"0123456789":
             start = pos
-            while pos < len(data) and chr(data[pos]).isdigit():
+            while pos < len(data) and data[pos] in b"0123456789":
                 pos += 1
             tokens.append(int(data[start:pos]))
         else:

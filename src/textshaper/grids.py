@@ -29,46 +29,38 @@ def as_grid(values, ndim=None) -> np.ndarray:
     return arr
 
 
-def conv2d(x, kernel, bias=None, stride=1, padding=0, out=None) -> np.ndarray:
-    """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw), zero padding.
+def conv2d(x, kernel, bias=None, stride=1, out=None) -> np.ndarray:
+    """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw), kh and kw odd.
 
-    stride is an int >= 1; padding is a non-negative int or a (ph, pw)
-    pair. Output spatial size is (H + 2*ph - kh)//stride + 1 per axis.
+    The input is zero padded by the kernel's reach, kh//2 rows and kw//2
+    columns a side, so at stride s (an int >= 1) the output is
+    (B,Cout,ceil(H/s),ceil(W/s)): the input's size at stride 1, half of it
+    at stride 2.
 
     Evaluated by shifted taps, the accumulating "kn2row" scheme of
     Anderson et al. (arXiv 1709.03395): one GEMM per kernel tap and no
-    column buffer. Tap (i, j) reads input pixel (s*y + i - ph,
-    s*x + j - pw) for output pixel (y, x). At stride s the input is split
-    into its s*s polyphase grids (Vaidyanathan, Multirate Systems and
+    column buffer. Tap (i, j) reads input pixel (s*y + i - kh//2,
+    s*x + j - kw//2) for output pixel (y, x). At stride s the input is
+    split into its s*s polyphase grids (Vaidyanathan, Multirate Systems and
     Filter Banks, 1993), grid (a, b) holding the pixels (s*r + a, s*c + b),
     so each tap reads one grid at a whole-pixel shift; at stride 1 the one
-    grid is the input itself, not copied. The taps then go to
-    `_shifted_taps`. When the s*s grids together have no more channels
-    than the output, the taps that share a shift are merged into one GEMM
-    over the grids stacked as channels, with zero blocks for the grids the
-    shift does not read: with so few input channels a GEMM costs about one
-    pass over its output, so fewer, wider GEMMs are cheaper.
+    grid is the input itself, not copied. Each grid fits the output's
+    frame, so the taps go to `_shifted_taps` and write straight into the
+    output. When the s*s grids together have no more channels than the
+    output, the taps that share a shift are merged into one GEMM over the
+    grids stacked as channels, with zero blocks for the grids the shift
+    does not read: with so few input channels a GEMM costs about one pass
+    over its output, so fewer, wider GEMMs are cheaper.
 
     The kernel's (kh*kw, Cout, Cin) tap matrices are read without a copy
     from a kernel stored tap-major, as the (Cout, Cin, kh, kw) view of
-    such an array; any other layout is copied once per call. The taps run
-    on a frame of the polyphase grids' size, grown to the output size if
-    the padding is wider than the kernel's reach, and the output is
-    cropped from it when the padding is narrower.
-
-    With out, a (B,Cout,Ho,Wo) array whose (Ho, Wo) planes are
-    C-contiguous (a channel slice of a larger grid, say), the convolution
-    and bias are added into out, which is returned. When the frame is the
-    output, as at stride 1 with padding kh//2 and kw//2, the taps add
-    straight into out; otherwise the frame is computed apart and its crop
-    added.
+    such an array; any other layout is copied once per call. With out, a
+    (B,Cout,Ho,Wo) array whose (Ho, Wo) planes are C-contiguous (a channel
+    slice of a larger grid, say), the taps and bias are added into out in
+    place, and out is returned.
     """
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be an int >= 1, got {stride!r}")
-    pads = (padding, padding) if np.ndim(padding) == 0 else tuple(padding)
-    if len(pads) != 2 or any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0
-                             for p in pads):
-        raise ValueError(f"padding must be an int >= 0 or a pair of them, got {padding!r}")
     x = as_grid(x, 4)
     # asarray, not as_grid: a tap-major kernel stays a view.
     k = np.asarray(kernel, dtype=np.float64)
@@ -80,53 +72,45 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0, out=None) -> np.ndarray:
     if x.shape[1] != cin:
         raise ShapeMismatchError(
             f"input channel dimension {x.shape[1]} does not match kernel input channels {cin}")
-    ph, pw = (int(p) for p in pads)
     s = int(stride)
     bsz, _, h, w = x.shape
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ShapeMismatchError(
-            f"padded input {h + 2 * ph}x{w + 2 * pw} smaller than kernel {kh}x{kw}")
     if bias is not None:
         b = as_grid(bias, 1)
         if b.shape != (cout,):
             raise ShapeMismatchError(
                 f"bias length {b.shape[0]} does not match output channels {cout}")
-    ho = (h + 2 * ph - kh) // s + 1
-    wo = (w + 2 * pw - kw) // s + 1
-    if out is not None:
+    ho, wo = -(-h // s), -(-w // s)
+    add = out is not None
+    if add:
         if out.shape != (bsz, cout, ho, wo):
             raise ShapeMismatchError(f"out shape {out.shape} != output shape {(bsz, cout, ho, wo)}")
         if out.strides[2:] != (out.itemsize * wo, out.itemsize):
             raise ValueError(f"out must have C-contiguous (H, W) planes, got strides {out.strides}")
-    fh, fw = max(ho, -(-h // s)), max(wo, -(-w // s))
+    else:
+        out = np.empty((bsz, cout, ho, wo))
     taps = np.ascontiguousarray(k.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
     # Tap (i, j) reads polyphase grid p at shift (dy, dx).
+    ph, pw = kh // 2, kw // 2
     plan = [(i * kw + j, (i - ph) % s * s + (j - pw) % s, (i - ph) // s, (j - pw) // s)
             for i in range(kh) for j in range(kw)]
-    if s == 1 and (fh, fw) == (h, w):
+    if s == 1:
         src = x.reshape(1, bsz, cin, h * w)
     else:
-        phases = np.zeros((bsz, s * s, cin, fh, fw))
+        phases = np.zeros((bsz, s * s, cin, ho, wo))
         for a in range(s):
             for c in range(s):
                 phase = x[:, :, a::s, c::s]
                 phases[:, a * s + c, :, :phase.shape[2], :phase.shape[3]] = phase
-        src = phases.reshape(bsz, s * s, cin, fh * fw).transpose(1, 0, 2, 3)
+        src = phases.reshape(bsz, s * s, cin, ho * wo).transpose(1, 0, 2, 3)
     if s > 1 and s * s * cin <= cout:
         shifts = sorted({(dy, dx) for _, _, dy, dx in plan})
         merged = np.zeros((len(shifts), cout, s * s, cin))
         for t, p, dy, dx in plan:
             merged[shifts.index((dy, dx)), :, p] = taps[t]
         taps = merged.reshape(len(shifts), cout, s * s * cin)
-        src = phases.reshape(1, bsz, s * s * cin, fh * fw)
+        src = phases.reshape(1, bsz, s * s * cin, ho * wo)
         plan = [(g, 0, dy, dx) for g, (dy, dx) in enumerate(shifts)]
-    direct = out is not None and (fh, fw) == (ho, wo)
-    frame = out if direct else np.empty((bsz, cout, fh, fw))
-    _shifted_taps(src, taps, plan, fh, fw, frame.reshape(bsz, cout, fh * fw), add=direct)
-    if out is None:
-        out = frame if (fh, fw) == (ho, wo) else np.ascontiguousarray(frame[:, :, :ho, :wo])
-    elif not direct:
-        out += frame[:, :, :ho, :wo]
+    _shifted_taps(src, taps, plan, ho, wo, out.reshape(bsz, cout, ho * wo), add=add)
     if bias is not None:
         out += b[None, :, None, None]
     return out

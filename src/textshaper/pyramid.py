@@ -12,17 +12,19 @@ feeds a head emitting text/center score maps (logistic squashed) and the
 five rotated-rectangle regression channels.
 
 Every convolution (the level's 3x3, the 1xL and Lx1 snake branches, the
-head and the backbone stub's strided convs) is a grids.conv2d call, run as
-shifted taps: one GEMM per kernel tap, with the kernels stored tap-major,
-in the layout those GEMMs read, so no column buffer or weight copy is
-made. Beyond the feature maps themselves, the working set does not grow
-with the input: a convolution's scratch is one tap's product, and the
-attention's score chunks are sized to grids.CHUNK_BYTES and reuse one
-buffer. Nothing is copied just to change layout: the branch outputs are
-written (3x3) and added (snake, through conv2d's out) straight into the
-token grid, the 1x1 projection is one GEMM on that grid, run before
-attention on the values (it commutes with the attention average), and
-attention reads the grid's channel-major (d, H*W) view.
+1x1 projection, the head and the backbone stub's strided convs) is a
+grids.conv2d call, padded by its kernel's reach: it keeps its map's size,
+and the stub's stride-2 convs halve it. Each runs as shifted taps, one
+GEMM per kernel tap, with the kernels stored tap-major, in the layout
+those GEMMs read, so no column buffer or weight copy is made. Beyond the
+feature maps themselves, the working set does not grow with the input: a
+convolution's scratch is one tap's product, and the attention's score
+chunks are sized to grids.CHUNK_BYTES and reuse one buffer. Nothing is
+copied just to change layout: the branch outputs are written (3x3) and
+added (snake, through conv2d's out) straight into the token grid, the 1x1
+projection is one GEMM on that grid, run before attention on the values
+(it commutes with the attention average), and attention reads the grid's
+channel-major (d, H*W) view.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def modulation_block(c_i, f_prev, params: BlockParams) -> np.ndarray:
     b, _, h, w = x.shape
     c = params.conv_w.shape[0]
     v = np.zeros((b, c + params.snake_h.shape[0], h, w))
-    v[:, :c] = conv2d(x, params.conv_w, params.conv_b, padding=1)
+    v[:, :c] = conv2d(x, params.conv_w, params.conv_b)
     dsc_forward(x, params.snake_h, out=v[:, c:])
     dsc_forward(x, params.snake_v, out=v[:, c:])
     del x
@@ -279,7 +281,7 @@ def dsf_forward(backbone_feats, params: DsfParams, spec: PyramidSpec | None = No
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"level {i}: {e}") from e
         fused.append(f)
-    head = conv2d(f, params.head_w, params.head_b, padding=1)
+    head = conv2d(f, params.head_w, params.head_b)
     head[:, :2] = logistic(head[:, :2])
     return DsfOutput(fused=fused, head=head)
 
@@ -317,7 +319,7 @@ def backbone_stub(image, params) -> list[np.ndarray]:
     x = img[None, None]
     feats = []
     for i, (wgt, b) in enumerate(params):
-        x = conv2d(x, wgt, b, stride=2, padding=1)
+        x = conv2d(x, wgt, b, stride=2)
         np.maximum(x, 0.0, out=x)
         if i >= 1:
             feats.append(x)

@@ -106,8 +106,8 @@ def init_spatial_decoder(channels: int, seed: int = 0) -> SpatialDecoder:
 
 def decode_position(features, decoder: SpatialDecoder) -> np.ndarray:
     """Decode (B,C,H,W) features to (B,H,W) position reconstructions in (0,1)."""
-    x = relu(conv2d(features, decoder.conv1_w, decoder.conv1_b, padding=1))
-    x = conv2d(x, decoder.conv2_w, decoder.conv2_b, padding=1)
+    x = relu(conv2d(features, decoder.conv1_w, decoder.conv1_b))
+    x = conv2d(x, decoder.conv2_w, decoder.conv2_b)
     return logistic(x[:, 0])
 
 

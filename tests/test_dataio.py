@@ -290,6 +290,16 @@ class TestPortableImages:
         with pytest.raises(ImageFormatError, match="truncated"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("header", [b"P5\n\xb2 2\n255\n", b"P5\n2 2\xb9\n255\n",
+                                        b"P5\n2 2\n\xb355\n"],
+                             ids=["superscript-two", "after-token", "in-maxval"])
+    def test_non_ascii_digit_in_header_rejected(self, tmp_path, header):
+        # chr(0xb2) is '\u00b2', which str.isdigit accepts but int() does not.
+        p = tmp_path / "sup.pgm"
+        p.write_bytes(header + bytes(4))
+        with pytest.raises(ImageFormatError, match=r"sup\.pgm: unexpected header byte"):
+            read_pgm(p)
+
     def test_pixel_above_maxval_rejected(self, tmp_path):
         p = tmp_path / "over.pgm"
         p.write_bytes(b"P5\n3 2\n100\n" + bytes([0, 100, 7, 50, 200, 255]))

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -13,11 +14,11 @@ from textshaper.grids import (ShapeMismatchError, bilinear_sample, conv2d, logis
                               resize_bilinear, upsample2x)
 
 
-def conv2d_oracle(x, k, bias, stride, padding):
-    """Direct six-loop cross-correlation."""
-    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+def conv2d_oracle(x, k, bias, stride):
+    """Direct six-loop cross-correlation, zero padded by (kh // 2, kw // 2)."""
     b, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
+    ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (w + 2 * pw - kw) // stride + 1
@@ -37,6 +38,12 @@ def conv2d_oracle(x, k, bias, stride, padding):
 
 
 class TestConv2d:
+    def test_parameter_list_is_pinned(self):
+        # Every parameter is a promise to callers: adding or dropping one must
+        # edit this test. The padding is the kernel's reach, never an option.
+        assert list(inspect.signature(conv2d).parameters) == [
+            "x", "kernel", "bias", "stride", "out"]
+
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 5, 6))
@@ -47,11 +54,14 @@ class TestConv2d:
         np.testing.assert_array_equal(out, x)
 
     def test_constant_field_interior(self):
+        # The output keeps the input's size; only the border reads the padding.
         c = 2.5
         x = np.full((1, 1, 6, 7), c)
         k = np.ones((1, 1, 3, 3))
-        out = conv2d(x, k, stride=1, padding=0)
-        np.testing.assert_allclose(out, 9 * c)
+        out = conv2d(x, k)
+        assert out.shape == x.shape
+        np.testing.assert_allclose(out[:, :, 1:-1, 1:-1], 9 * c)
+        np.testing.assert_allclose(out[:, :, [0, -1], [0, -1]], 4 * c)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle(self, seed):
@@ -59,7 +69,7 @@ class TestConv2d:
         x = rng.normal(size=(2, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         bias = rng.normal(size=3)
-        expected = conv2d_oracle(x, k, bias, 1, 0)
+        expected = conv2d_oracle(x, k, bias, 1)
         got = conv2d(x, k, bias)
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -72,20 +82,20 @@ class TestConv2d:
         h, w = int(rng.integers(3, 9)), int(rng.integers(3, 9))
         kh, kw = 2 * int(rng.integers(0, 2)) + 1, 2 * int(rng.integers(0, 2)) + 1
         stride = int(rng.integers(1, 3))
-        padding = int(rng.integers(0, 2))
         x = rng.normal(size=(b, cin, h, w))
         k = rng.normal(size=(cout, cin, kh, kw))
-        expected = conv2d_oracle(x, k, None, stride, padding)
-        got = conv2d(x, k, stride=stride, padding=padding)
-        assert got.shape == expected.shape
+        expected = conv2d_oracle(x, k, None, stride)
+        got = conv2d(x, k, stride=stride)
+        assert got.shape == expected.shape == (b, cout, -(-h // stride), -(-w // stride))
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_asymmetric_padding(self):
+        # A 1x3 kernel pads the columns by one and the rows not at all.
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 2, 4, 6))
         k = rng.normal(size=(2, 2, 1, 3))
-        expected = conv2d_oracle(x, k, None, 1, (0, 1))
-        got = conv2d(x, k, padding=(0, 1))
+        expected = conv2d_oracle(x, k, None, 1)
+        got = conv2d(x, k)
         assert got.shape == (1, 2, 4, 6)
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -101,34 +111,30 @@ class TestConv2d:
         with pytest.raises(ShapeMismatchError, match="bias"):
             conv2d(np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), bias=np.zeros(3))
 
-    @pytest.mark.parametrize("name,value", [
-        ("stride", 0), ("stride", 1.5), ("stride", (1, 1)),
-        ("padding", -1), ("padding", 1.5), ("padding", (1, -1)), ("padding", (1, 2, 3)),
-    ])
+    @pytest.mark.parametrize("name,value", [("stride", 0), ("stride", 1.5), ("stride", (1, 1))])
     def test_bad_stride_or_padding_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             conv2d(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)), **{name: value})
 
     @pytest.mark.parametrize("ksize", [1, 3, 5])
+    # padding marks the axes the kernel pads, which are the axes it spans:
+    # 1 is a ksize x ksize kernel, (0, 1) a 1 x ksize one, (1, 0) ksize x 1.
     @pytest.mark.parametrize("padding", [1, (0, 1), (1, 0)])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_shifted_taps_match_oracle(self, stride, padding, ksize):
-        # Sides of 1 (and 3 for 5x5) are narrower than the kernel's reach,
-        # so some taps shift the whole frame out; too-small inputs raise.
-        # One input channel into five takes the merged path at stride 2.
+        # Sides of 1 (and 3 for 5-tap kernels) are narrower than the kernel's
+        # reach, so some taps shift the whole frame out. One input channel
+        # into five takes the merged path at stride 2.
         rng = np.random.default_rng(7 * stride + 3 * ksize + np.sum(padding))
         ph, pw = (padding, padding) if isinstance(padding, int) else padding
+        kh, kw = (ksize if ph else 1), (ksize if pw else 1)
         for (h, w), (cin, cout) in itertools.product(
                 [(7, 6), (1, 6), (6, 1), (1, 1), (3, 8), (8, 3)], [(2, 3), (1, 5)]):
-            k = rng.normal(size=(cout, cin, ksize, ksize))
+            k = rng.normal(size=(cout, cin, kh, kw))
             bias = rng.normal(size=cout)
             x = rng.normal(size=(2, cin, h, w))
-            if h + 2 * ph < ksize or w + 2 * pw < ksize:
-                with pytest.raises(ShapeMismatchError, match="smaller than kernel"):
-                    conv2d(x, k, bias, stride=stride, padding=padding)
-                continue
-            want = conv2d_oracle(x, k, bias, stride, padding)
-            got = conv2d(x, k, bias, stride=stride, padding=padding)
+            want = conv2d_oracle(x, k, bias, stride)
+            got = conv2d(x, k, bias, stride=stride)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -143,7 +149,7 @@ class TestConv2d:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            conv2d(x, k, padding=1)
+            conv2d(x, k)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -172,25 +178,23 @@ class TestConv2d:
         monkeypatch.undo()
         assert calls == ["matmul"]
         assert got.shape == (2, 3, 4, 6) and got.flags.c_contiguous
-        assert np.max(np.abs(got - conv2d_oracle(x, k, bias, 1, 0))) < 1e-12
+        assert np.max(np.abs(got - conv2d_oracle(x, k, bias, 1))) < 1e-12
 
-    @pytest.mark.parametrize("kshape,stride,padding", [
-        ((1, 5), 1, (0, 2)),   # horizontal snake: the frame is the output
-        ((5, 1), 1, (2, 0)),   # vertical snake
-        ((3, 3), 1, 0),        # output cropped from the input-sized frame
-        ((3, 3), 2, 0),        # stride 2, cropped from the polyphase frame
-        ((3, 3), 2, 1),        # stride 2, the frame is the output
-        ((1, 1), 1, 1),        # frame grown to the output by wide padding
-    ], ids=["horizontal", "vertical", "crop", "stride2-crop", "stride2", "wide-padding"])
-    def test_out_accumulates_into_a_channel_slice(self, kshape, stride, padding):
+    @pytest.mark.parametrize("kshape,stride,side", [
+        ((1, 5), 1, (7, 6)),   # horizontal snake
+        ((5, 1), 1, (7, 6)),   # vertical snake
+        ((3, 3), 2, (7, 6)),   # stride 2 on an odd and an even side
+        ((3, 3), 2, (7, 5)),   # stride 2 on two odd sides
+    ], ids=["horizontal", "vertical", "stride2", "stride2-odd"])
+    def test_out_accumulates_into_a_channel_slice(self, kshape, stride, side):
         rng = np.random.default_rng(25)
-        x = rng.normal(size=(2, 3, 7, 6))
+        x = rng.normal(size=(2, 3, *side))
         k = rng.normal(size=(2, 3, *kshape))
         bias = rng.normal(size=2)
-        want = conv2d_oracle(x, k, bias, stride, padding)
+        want = conv2d_oracle(x, k, bias, stride)
         grid = rng.normal(size=(2, 5, *want.shape[2:]))
         before = grid.copy()
-        got = conv2d(x, k, bias, stride=stride, padding=padding, out=grid[:, 3:])
+        got = conv2d(x, k, bias, stride=stride, out=grid[:, 3:])
         assert np.shares_memory(got, grid) and got.shape == want.shape
         np.testing.assert_array_equal(grid[:, :3], before[:, :3])
         assert np.max(np.abs(grid[:, 3:] - (before[:, 3:] + want))) < 1e-12
@@ -198,18 +202,19 @@ class TestConv2d:
     def test_out_shape_or_layout_mismatch(self):
         k = np.ones((2, 3, 1, 3))
         with pytest.raises(ShapeMismatchError, match="out shape"):
-            conv2d(np.zeros((1, 3, 4, 4)), k, padding=(0, 1), out=np.zeros((1, 3, 4, 4)))
-        # Output size (4, 2) without padding, not the input's (4, 4).
+            conv2d(np.zeros((1, 3, 4, 4)), k, out=np.zeros((1, 3, 4, 4)))
+        # Output size (2, 2) at stride 2, not the input's (4, 4).
         with pytest.raises(ShapeMismatchError, match="out shape"):
-            conv2d(np.zeros((1, 3, 4, 4)), k, out=np.zeros((1, 2, 4, 4)))
+            conv2d(np.zeros((1, 3, 4, 4)), k, stride=2, out=np.zeros((1, 2, 4, 4)))
         # Transposed planes cannot be added to as flat pixel runs.
         with pytest.raises(ValueError, match="C-contiguous"):
-            conv2d(np.zeros((1, 3, 4, 4)), k, padding=(0, 1),
-                   out=np.zeros((1, 2, 4, 4)).transpose(0, 1, 3, 2))
+            conv2d(np.zeros((1, 3, 4, 4)), k, out=np.zeros((1, 2, 4, 4)).transpose(0, 1, 3, 2))
 
 
 class TestConv2dPyramidShapes:
-    """Shifted-tap conv2d against the einsum oracle at the pyramid's layer shapes."""
+    """Shifted-tap conv2d against the einsum oracle at the pyramid's layer shapes.
+
+    padding is the oracle's, ksize // 2, which conv2d applies by itself."""
 
     @pytest.mark.parametrize("cin,cout,ksize,stride,padding,side", [
         (512, 256, 3, 1, 1, 6),    # level 3x3 conv, coarsest levels
@@ -224,8 +229,8 @@ class TestConv2dPyramidShapes:
         k = rng.uniform(-0.05, 0.05, size=(cout, cin, ksize, ksize))
         bias = rng.uniform(-0.05, 0.05, size=cout)
         want = conv2d_einsum_oracle(x, k, bias, stride, padding)
-        got = conv2d(x, k, bias, stride=stride, padding=padding)
-        assert got.shape == want.shape
+        got = conv2d(x, k, bias, stride=stride)
+        assert got.shape == want.shape == (1, cout, -(-side // stride), -(-side // stride))
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -163,7 +163,7 @@ class TestModulationBlock:
 
         from textshaper.snakeconv import dsc_forward
         x = np.concatenate([c_i, f_prev], axis=1)
-        v = np.concatenate([conv2d(x, params.conv_w, params.conv_b, padding=1),
+        v = np.concatenate([conv2d(x, params.conv_w, params.conv_b),
                             dsc_forward(x, params.snake_h) + dsc_forward(x, params.snake_v)],
                            axis=1)
         mean_token = v[0].reshape(d, h * w).mean(axis=1)
