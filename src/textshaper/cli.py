@@ -33,19 +33,23 @@ _CLI_ERRORS = (ValueError, OSError)
 
 
 def cmd_shape(args) -> int:
-    scale = args.scale
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"--scale must be positive and finite, got {scale}")
+    if not 0.0 < args.scale < math.inf:
+        raise ValueError(f"--scale must be positive and finite, got {args.scale}")
+    scale = np.full(2, args.scale)
     if args.image is not None:
         size = args.resize
         if size < 32 or size % 32:
             raise ValueError(f"--resize must be a positive multiple of 32, got {size}")
-        image = resize_bilinear(read_pgm(args.image), size, size)
+        gray = read_pgm(args.image)
+        image = resize_bilinear(gray, size, size)
         spec = PyramidSpec()
         feats = backbone_stub(image, init_stub_params(args.seed, channels=spec.channels))
         out = dsf_forward(feats, init_dsf_params(spec, args.seed), spec)
         maps = geometry_maps_from_head(out.head)
-        scale *= 4.0
+        # The head runs at stride 4 of the size x size frame; map x and y
+        # back to the input image's width and height.
+        h, w = gray.shape
+        scale *= (4.0 * w / size, 4.0 * h / size)
     else:
         if args.maps is None:
             raise ValueError("either --maps or --image is required")
@@ -71,6 +75,8 @@ def _eval_one(name: str, pred_dir: Path, gt_dir: Path, iou_thresh: float) -> Ima
 def cmd_eval(args) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ValueError(f"--iou must lie in (0, 1], got {args.iou}")
+    if args.assert_f1 is not None and not 0.0 <= args.assert_f1 <= 100.0:
+        raise ValueError(f"--assert-f1 must lie in [0, 100], got {args.assert_f1}")
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     if not gt_dir.is_dir():
         raise OSError(f"ground-truth directory not found: {gt_dir}")
@@ -206,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="directory of ground-truth .txt files")
     p.add_argument("--iou", type=float, default=0.5, help="match IoU threshold")
     p.add_argument("--assert-f1", type=float, default=None,
-                   help="exit 1 when F1 (percent) falls below this value")
+                   help="exit 1 when F1 (percent, 0-100) falls below this value")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", formatter_class=fmt,

@@ -305,18 +305,6 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(h, w).astype(np.float64) / maxval
 
 
-def write_pgm(path, gray) -> None:
-    """Write a float [0,1] or uint8 (H, W) grid as binary 8-bit PGM."""
-    arr = np.asarray(gray)
-    if arr.ndim != 2:
-        raise ImageFormatError(f"{path}: expected a 2-d image, got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        arr = np.clip(np.rint(arr.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
-        fh.write(arr.tobytes())
-
-
 def write_ppm(path, rgb) -> None:
     """Write a uint8 (H, W, 3) image as binary PPM (P6)."""
     arr = np.asarray(rgb)

@@ -268,6 +268,3 @@ def _logistic_inplace(x: np.ndarray) -> np.ndarray:
     x /= e
     return x
 
-
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)

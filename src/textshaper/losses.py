@@ -1,19 +1,16 @@
-"""Detector loss heads with analytic gradients w.r.t. the predicted maps.
+"""The paper's four training losses with analytic gradients: text + center
+cross-entropy, smooth-L1 regression, the L1 spatial-reconstruction term and
+the L2 semantic-alignment term.
 
-The joint objective is the unweighted sum of a segmentation term (text +
-center cross-entropy), smooth-L1 height and angle regression terms
-restricted to text pixels, and the two spatial-constraint terms.
+They are reference implementations for a training loop, which this package
+does not have; nothing here sits on the inference path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grids import ShapeMismatchError
-from .maps import GeometryMaps
-from .spatial import loss_sr, loss_ss
+from .grids import ShapeMismatchError, as_grid
 
 CLAMP_EPS = 1e-7
 
@@ -64,38 +61,32 @@ def smooth_l1(pred, gt, region=None) -> tuple[float, np.ndarray]:
     return float(vals.sum() / n), grad
 
 
-@dataclass(frozen=True)
-class LossBundle:
-    l_seg: float
-    l_h: float
-    l_theta: float
-    l_ss: float
-    l_sr: float
-    total: float
+def loss_sr(reconstruction, mask) -> tuple[float, np.ndarray]:
+    """Mean absolute reconstruction error against the position mask.
 
-
-@dataclass(frozen=True)
-class LossTargets:
-    """Ground truth for one image: binary maps, regression maps, position mask.
-
-    Height and angle are supervised only where text > 0.5.
+    Returns (loss, gradient w.r.t. the reconstruction); the subgradient of
+    |e| at e = 0 is taken as 0.
     """
+    r = as_grid(reconstruction, 2)
+    t = np.asarray(mask, dtype=np.float64)
+    if r.shape != t.shape:
+        raise ShapeMismatchError(f"reconstruction shape {r.shape} != mask shape {t.shape}")
+    diff = r - t
+    loss = float(np.mean(np.abs(diff)))
+    grad = np.sign(diff) / diff.size
+    return loss, grad
 
-    text: np.ndarray
-    center: np.ndarray
-    h: np.ndarray
-    theta: np.ndarray
-    mask: np.ndarray
 
+def loss_ss(aux_feat, main_feat) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Mean squared alignment error between auxiliary and main feature maps.
 
-def total_loss(pred: GeometryMaps, recon, aux_feat, main_feat,
-               targets: LossTargets) -> LossBundle:
-    """Joint loss over one image's predictions; total is the exact component sum."""
-    region = np.asarray(targets.text, dtype=np.float64) > 0.5
-    l_seg, _, _ = loss_seg(pred.text, pred.center, targets.text, targets.center)
-    l_h, _ = smooth_l1(pred.h, targets.h, region=region)
-    l_theta, _ = smooth_l1(pred.theta, targets.theta, region=region)
-    l_ss, _ = loss_ss(aux_feat, main_feat)
-    l_sr, _ = loss_sr(recon, targets.mask)
-    return LossBundle(l_seg=l_seg, l_h=l_h, l_theta=l_theta, l_ss=l_ss, l_sr=l_sr,
-                      total=l_seg + l_h + l_theta + l_ss + l_sr)
+    Returns (loss, (grad_aux, grad_main)).
+    """
+    a = np.asarray(aux_feat, dtype=np.float64)
+    m = np.asarray(main_feat, dtype=np.float64)
+    if a.shape != m.shape:
+        raise ShapeMismatchError(f"feature shapes differ: {a.shape} vs {m.shape}")
+    diff = a - m
+    loss = float(np.mean(diff * diff))
+    g = 2.0 * diff / diff.size
+    return loss, (g, -g)

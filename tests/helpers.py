@@ -28,6 +28,15 @@ def max_rel_err(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def write_pgm(path, gray):
+    """Write a float [0, 1] or uint8 (H, W) grid as a binary 8-bit PGM (P5)."""
+    arr = np.asarray(gray)
+    if arr.dtype != np.uint8:
+        arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode() + arr.tobytes())
+
+
 def point_in_polygon_oracle(px, py, verts):
     """Even-odd ray cast toward +x, one point at a time."""
     inside = False

@@ -25,12 +25,11 @@ from textshaper.dataio import (AnnotationError, MapFileError, SynthBand, SynthSp
                                read_map, synth_maps, write_map)
 from textshaper.evaluation import ImageCounts, aggregate, harmonic_f1, match_image
 from textshaper.geometry import normalize_angle, polygon_area, polygon_iou, rasterize
-from textshaper.losses import loss_seg, smooth_l1
+from textshaper.losses import loss_seg, loss_sr, loss_ss, smooth_l1
 from textshaper.pyramid import PyramidSpec, dsf_forward, init_dsf_params
 from textshaper.shaping import (OVERLAP_COUNTER, farthest_point_sample_indices, nms_baseline,
                                 shape_text)
 from textshaper.snakeconv import dsc_forward
-from textshaper.spatial import loss_sr, loss_ss
 
 
 @contextmanager

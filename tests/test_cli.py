@@ -3,9 +3,10 @@ import argparse
 import numpy as np
 import pytest
 
+from helpers import write_pgm
 from textshaper.cli import build_parser, main
 from textshaper.dataio import (parse_annotations, read_geometry_maps, read_pgm,
-                               write_annotations, write_geometry_maps, write_map, write_pgm)
+                               write_annotations, write_geometry_maps, write_map)
 from textshaper.geometry import TextPolygon, polygon_iou
 from textshaper.maps import GeometryMaps
 from textshaper.shaping import FPS_CAP, ShapingConfig, farthest_point_sample_indices
@@ -110,6 +111,20 @@ class TestShape:
                     "--seed", 1]) == 0
         assert pred.exists()
 
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_image_polygons_are_in_the_input_frame(self, tmp_path, monkeypatch, scale):
+        # A 48x64 image at --resize 32 gives 8x8 head maps at stride 4: a map
+        # unit is 64 / 8 = 8 px across and 48 / 8 = 6 px down the input.
+        square = np.array([[1, 1], [5, 1], [5, 3], [1, 3]], float)
+        monkeypatch.setattr("textshaper.cli.shape_text",
+                            lambda maps: [TextPolygon(square.copy())])
+        img, pred = tmp_path / "img.pgm", tmp_path / "pred.txt"
+        write_pgm(img, np.full((48, 64), 0.5))
+        assert run(["shape", "--image", img, "--resize", 32, "--out", pred,
+                    "--scale", scale]) == 0
+        (poly,), _ = parse_annotations(pred)
+        np.testing.assert_array_equal(poly.vertices, square * (8 * scale, 6 * scale))
+
     @pytest.mark.parametrize("value", [0, -1, "nan", "inf"])
     def test_bad_scale_is_usage_error(self, tmp_path, capsys, value):
         pred = tmp_path / "pred.txt"
@@ -160,8 +175,19 @@ class TestEval:
     def test_assert_f1_gate(self, tmp_path):
         pred_dir, gt_dir = self.make_dirs(tmp_path, perfect=False)
         assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, "--assert-f1", 50.0]) == 1
+        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, "--assert-f1", 100.0]) == 1
+        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, "--assert-f1", 0.0]) == 0
         pred_dir, gt_dir = self.make_dirs(tmp_path / "p", perfect=True)
         assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, "--assert-f1", 99.0]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", -5, -0.01, 100.01, 150])
+    def test_assert_f1_out_of_range_is_usage_error(self, tmp_path, capsys, value):
+        # F1 is 0 here, so a gate that skipped the range check would exit 0 or 1.
+        pred_dir, gt_dir = self.make_dirs(tmp_path, perfect=False)
+        assert run(["eval", "--pred", pred_dir, "--gt", gt_dir, "--assert-f1", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--assert-f1" in captured.err
 
     @pytest.mark.parametrize("pred_line, counts", [
         ("2,2,30,2,30,12,2,12", ("tp=1", "fp=0", "fn=0")),

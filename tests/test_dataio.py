@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import draw_outline_oracle, nearest_sample_oracle
+from helpers import draw_outline_oracle, nearest_sample_oracle, write_pgm
 from test_acceptance import c11_spec, c12_spec, dark_spec
 from textshaper import dataio, grids
 from textshaper.dataio import (AnnotationError, ImageFormatError, MapFileError, SynthBand,
                                SynthSpec, band_polygon, draw_polygon_outline, lowlight_suite,
                                parse_annotation_text, parse_annotations, read_geometry_maps,
                                read_map, read_pgm, synth_maps, write_annotations,
-                               write_geometry_maps, write_map, write_pgm, write_ppm)
+                               write_geometry_maps, write_map, write_ppm)
 from textshaper.geometry import TextPolygon, rasterize
 
 

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from textshaper.losses import LossTargets, loss_seg, smooth_l1, total_loss
-from textshaper.maps import GeometryMaps
-from textshaper.spatial import build_position_mask
+from textshaper.losses import loss_seg, smooth_l1
 
 from helpers import finite_diff_grad, max_rel_err
 
@@ -93,71 +91,3 @@ class TestSmoothL1:
         fd = finite_diff_grad(lambda x: smooth_l1(x, gt, region=region)[0], pred)
         assert max_rel_err(grad, fd) < 1e-6
 
-
-def build_total_inputs(rng, n=8, perfect=False):
-    gt_text = np.zeros((n, n))
-    gt_text[2:6, 1:7] = 1.0
-    gt_center = np.zeros((n, n))
-    gt_center[3:5, 2:6] = 1.0
-    gt_h = np.full((n, n), 4.0)
-    gt_theta = np.full((n, n), 0.1)
-    mask = build_position_mask([[(1, 2), (7, 2), (7, 6), (1, 6)]], n, n)
-    aux = rng.normal(size=(4, n, n))
-    if perfect:
-        pred = GeometryMaps(text=np.clip(gt_text, 1e-9, 1 - 1e-9),
-                            center=np.clip(gt_center, 1e-9, 1 - 1e-9),
-                            x=np.zeros((n, n)), y=np.zeros((n, n)),
-                            h=gt_h.copy(), w=np.full((n, n), 4.0), theta=gt_theta.copy())
-        recon = mask.astype(float)
-        main = aux.copy()
-    else:
-        pred = GeometryMaps(text=rng.uniform(0.05, 0.95, (n, n)),
-                            center=rng.uniform(0.05, 0.95, (n, n)),
-                            x=rng.normal(size=(n, n)), y=rng.normal(size=(n, n)),
-                            h=gt_h + rng.normal(size=(n, n)),
-                            w=np.full((n, n), 4.0),
-                            theta=gt_theta + 0.2 * rng.normal(size=(n, n)))
-        recon = rng.uniform(size=(n, n))
-        main = aux + rng.normal(size=aux.shape)
-    targets = LossTargets(text=gt_text, center=gt_center, h=gt_h, theta=gt_theta, mask=mask)
-    return pred, recon, aux, main, targets
-
-
-class TestTotalLoss:
-    def test_perfect_predictions(self):
-        rng = np.random.default_rng(0)
-        pred, recon, aux, main, targets = build_total_inputs(rng, perfect=True)
-        bundle = total_loss(pred, recon, aux, main, targets)
-        for field in ("l_seg", "l_h", "l_theta", "l_ss", "l_sr", "total"):
-            assert getattr(bundle, field) < 1e-6
-
-    def test_total_is_exact_component_sum(self):
-        rng = np.random.default_rng(1)
-        pred, recon, aux, main, targets = build_total_inputs(rng)
-        b = total_loss(pred, recon, aux, main, targets)
-        assert b.total == b.l_seg + b.l_h + b.l_theta + b.l_ss + b.l_sr
-        assert all(v >= 0 for v in (b.l_seg, b.l_h, b.l_theta, b.l_ss, b.l_sr))
-
-    def test_zeroing_one_component_removes_exactly_it(self):
-        rng = np.random.default_rng(2)
-        pred, recon, aux, main, targets = build_total_inputs(rng)
-        b1 = total_loss(pred, recon, aux, main, targets)
-        perfect_theta = GeometryMaps(text=pred.text, center=pred.center, x=pred.x, y=pred.y,
-                                     h=pred.h, w=pred.w, theta=targets.theta.copy())
-        b2 = total_loss(perfect_theta, recon, aux, main, targets)
-        assert b2.l_theta == 0.0
-        assert b2.total == b1.l_seg + b1.l_h + 0.0 + b1.l_ss + b1.l_sr
-
-    def test_matches_resummation_oracle(self):
-        rng = np.random.default_rng(3)
-        pred, recon, aux, main, targets = build_total_inputs(rng)
-        b = total_loss(pred, recon, aux, main, targets)
-        from textshaper.losses import loss_seg as seg_fn, smooth_l1 as sl1
-        from textshaper.spatial import loss_sr as sr_fn, loss_ss as ss_fn
-        region = targets.text > 0.5
-        expected = (seg_fn(pred.text, pred.center, targets.text, targets.center)[0]
-                    + sl1(pred.h, targets.h, region=region)[0]
-                    + sl1(pred.theta, targets.theta, region=region)[0]
-                    + ss_fn(aux, main)[0]
-                    + sr_fn(recon, targets.mask)[0])
-        assert b.total == pytest.approx(expected, rel=1e-15)
