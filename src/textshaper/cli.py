@@ -46,13 +46,9 @@ def cmd_shape(args) -> int:
         feats = backbone_stub(image, init_stub_params(args.seed, channels=spec.channels))
         out = dsf_forward(feats, init_dsf_params(spec, args.seed), spec)
         maps = geometry_maps_from_head(out.head)
-        # The head runs at stride 4 of the size x size frame; map x and y
-        # back to the input image's width and height.
         h, w = gray.shape
-        scale *= (4.0 * w / size, 4.0 * h / size)
+        scale *= (w / maps.shape[1], h / maps.shape[0])
     else:
-        if args.maps is None:
-            raise ValueError("either --maps or --image is required")
         maps = read_geometry_maps(args.maps)
     polys = shape_text(maps)
     scaled = [TextPolygon(p.vertices * scale) for p in polys]
@@ -195,9 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shape", formatter_class=fmt,
                        help="shape head maps into text polygons")
-    p.add_argument("--maps", help="input .tmap file with the seven head map sections")
-    p.add_argument("--image", help="EXPERIMENTAL: grayscale PGM run through the untrained "
-                                   "backbone stub and pyramid (slow at the default size)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--maps", help="input .tmap file with the seven head map sections")
+    source.add_argument("--image", help="EXPERIMENTAL: grayscale PGM run through the untrained "
+                                        "backbone stub and pyramid (slow at the default size)")
     p.add_argument("--resize", type=int, default=640,
                    help="square frame for --image (divisible by 32)")
     p.add_argument("--out", required=True, help="output polygon annotation file")

@@ -118,10 +118,10 @@ def write_annotations(path, polygons, ignore=None) -> None:
         pts = poly.vertices if isinstance(poly, TextPolygon) else np.asarray(poly, float)
         if not np.isfinite(pts).all():
             raise AnnotationError(f"{path}: non-finite vertex in polygon {pts.tolist()}")
-        ints = np.rint(pts).astype(np.int64).reshape(-1)
-        if np.any(ints < 0):
+        rounded = np.rint(pts).reshape(-1)
+        if np.any(rounded < 0):
             raise AnnotationError(f"{path}: negative coordinate in polygon {pts.tolist()}")
-        row = ",".join(str(int(v)) for v in ints)
+        row = ",".join(str(int(v)) for v in rounded.tolist())
         lines.append(row + (",#ignore" if flag else ""))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))

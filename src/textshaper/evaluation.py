@@ -43,48 +43,37 @@ def harmonic_f1(precision: float, recall: float) -> float:
 def match_image(preds, gts, iou_thresh: float = 0.5, ignore=None) -> tuple[int, int, int]:
     """Greedy one-to-one matching of predictions to ground truth.
 
-    Candidate pairs with IoU >= iou_thresh are accepted in descending IoU
-    order (ties by prediction index, then ground-truth index) as long as
-    both members are unmatched. With per-ground-truth ignore flags, ignored
-    polygons are excluded from matching and from the false-negative count,
-    and an unmatched prediction whose IoU with some ignored polygon is
-    >= iou_thresh is discarded rather than counted as a false positive (a
-    smaller overlap still counts as one). iou_thresh must lie in (0, 1]:
-    at 0 every pair would match, even disjoint ones.
+    Every decision reads one (P, G) table, iou[p][g] = polygon_iou(p, g)
+    for every prediction and every ground truth, ignored ones included,
+    each entry computed once. Care pairs with IoU >= iou_thresh are
+    accepted in descending IoU order (ties by prediction index, then
+    ground-truth index) as long as both members are unmatched. With
+    per-ground-truth ignore flags, ignored polygons are excluded from
+    matching and from the false-negative count, and an unmatched
+    prediction whose IoU in the table's ignored columns reaches iou_thresh
+    is discarded rather than counted as a false positive (a smaller
+    overlap still counts as one). iou_thresh must lie in (0, 1]: at 0
+    every pair would match, even disjoint ones.
     """
     if not 0.0 < iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must lie in (0, 1], got {iou_thresh}")
-    preds = list(preds)
     gts = list(gts)
-    flags = list(ignore) if ignore is not None else [False] * len(gts)
-    if len(flags) != len(gts):
-        raise ValueError(f"got {len(gts)} ground-truth polygons but {len(flags)} ignore flags")
-    active = [i for i, ig in enumerate(flags) if not ig]
-    pairs = []
-    for pi, pred in enumerate(preds):
-        for gi in active:
-            iou = polygon_iou(pred, gts[gi])
-            if iou >= iou_thresh:
-                pairs.append((-iou, pi, gi))
-    pairs.sort()
+    care = [not f for f in ignore] if ignore is not None else [True] * len(gts)
+    if len(care) != len(gts):
+        raise ValueError(f"got {len(gts)} ground-truth polygons but {len(care)} ignore flags")
+    iou = [[polygon_iou(p, g) for g in gts] for p in preds]
+    pairs = sorted((-v, pi, gi) for pi, row in enumerate(iou)
+                   for gi, v in enumerate(row) if care[gi] and v >= iou_thresh)
     matched_p: set[int] = set()
     matched_g: set[int] = set()
     for _, pi, gi in pairs:
         if pi not in matched_p and gi not in matched_g:
             matched_p.add(pi)
             matched_g.add(gi)
+    discarded = sum(any(v >= iou_thresh for v, c in zip(row, care) if not c)
+                    for pi, row in enumerate(iou) if pi not in matched_p)
     tp = len(matched_p)
-    discarded = 0
-    ignored = [gts[i] for i, ig in enumerate(flags) if ig]
-    if ignored:
-        for pi, pred in enumerate(preds):
-            if pi in matched_p:
-                continue
-            if any(polygon_iou(pred, g) >= iou_thresh for g in ignored):
-                discarded += 1
-    fp = len(preds) - tp - discarded
-    fn = len(active) - tp
-    return tp, fp, fn
+    return tp, len(iou) - tp - discarded, sum(care) - tp
 
 
 def aggregate(per_image) -> EvalReport:

@@ -83,10 +83,7 @@ def rects_corners(rows) -> np.ndarray:
 def _vertices_of(shape) -> np.ndarray:
     if isinstance(shape, TextPolygon):
         return shape.vertices
-    v = np.asarray(shape, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-        raise ValueError(f"expected a polygon as (n>=3, 2) vertices, got shape {v.shape}")
-    return v
+    return TextPolygon(shape).vertices
 
 
 def signed_area(pts: np.ndarray) -> float:
@@ -377,8 +374,6 @@ def polygon_iou(a, b) -> float:
     polygons with thousands of vertices make both grow quadratically.
     """
     pa, pb = _vertices_of(a), _vertices_of(b)
-    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
-        raise ValueError("polygon vertices must be finite")
     if (pa[:, 0].max() <= pb[:, 0].min() or pb[:, 0].max() <= pa[:, 0].min()
             or pa[:, 1].max() <= pb[:, 1].min() or pb[:, 1].max() <= pa[:, 1].min()):
         return 0.0

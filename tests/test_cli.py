@@ -399,3 +399,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("inputs", [["--maps", "m.tmap", "--image", "i.pgm"], []],
+                             ids=["both", "neither"])
+    def test_shape_takes_exactly_one_input(self, tmp_path, capsys, inputs):
+        with pytest.raises(SystemExit) as exc:
+            main(["shape", *inputs, "--out", str(tmp_path / "pred.txt")])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "pred.txt").exists()

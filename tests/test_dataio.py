@@ -97,6 +97,16 @@ class TestAnnotations:
         for a, b in zip(polys, parsed):
             np.testing.assert_array_equal(a.vertices, b.vertices)
 
+    def test_round_trip_coordinates_beyond_int64(self, tmp_path):
+        # 1e20 and 3e20 are integers as floats but do not fit an int64.
+        big = np.array([[0.0, 0.0], [1e20, 0.0], [3e20, 1e20], [-0.4, 1e20]])
+        path = tmp_path / "big.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_annotations(path, [TextPolygon(big)])
+        (poly,), _ = parse_annotations(path)
+        np.testing.assert_array_equal(poly.vertices, np.rint(big))
+
     def test_write_accepts_generator(self, tmp_path):
         squares = [[[x, 0], [x + 4, 0], [x + 4, 4], [x, 4]] for x in (0, 10)]
         path = tmp_path / "gen.txt"

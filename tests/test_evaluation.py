@@ -52,6 +52,15 @@ class TestMatchImage:
         assert got == match_oracle(preds, gts, 0.3)
         assert got == (2, 1, 0)
 
+    def test_exact_ties_go_to_the_lower_index(self):
+        # p0 has IoU exactly 1/3 with both GTs, p1 with the first only; p0
+        # takes the GT with the lower index, so p1 goes unmatched.
+        gts = [square(0, 0, 2), square(2, 0, 2)]
+        preds = [square(1, 0, 2), square(-1, 0, 2)]
+        got = match_image(preds, gts, 0.3)
+        assert got == match_oracle(preds, gts, 0.3)
+        assert got == (1, 1, 1)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_instances_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -70,10 +79,13 @@ class TestMatchImage:
         assert fn == 1
 
     def test_ignored_gt_not_counted(self):
-        gts = [square(0, 0), square(10, 0)]
-        preds = [square(0, 0)]
-        tp, fp, fn = match_image(preds, gts, ignore=[False, True])
-        assert (tp, fp, fn) == (1, 0, 0)
+        # At x = 1 the ignored GT overlaps the prediction with IoU 0.6: matched
+        # to the care GT, the prediction stays a true positive.
+        for ignored in (square(10, 0), square(1, 0)):
+            gts = [square(0, 0), ignored]
+            preds = [square(0, 0)]
+            tp, fp, fn = match_image(preds, gts, ignore=[False, True])
+            assert (tp, fp, fn) == (1, 0, 0)
 
     def test_pred_on_ignored_region_discarded(self):
         gts = [square(0, 0), square(10, 0)]

@@ -125,6 +125,14 @@ class TestRectValidation:
         with pytest.raises(ValueError, match="3 vertices"):
             TextPolygon(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("call", [polygon_area, is_convex, lambda v: polygon_iou(v, v),
+                                      lambda v: rasterize(v, 4, 4)],
+                             ids=["polygon_area", "is_convex", "polygon_iou", "rasterize"])
+    def test_raw_vertices_must_be_finite(self, call):
+        # A raw array takes the same check as a TextPolygon, in every routine.
+        with pytest.raises(ValueError, match="polygon vertices must be finite"):
+            call(np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]]))
+
 
 class TestRasterize:
     def test_axis_aligned_popcount(self):
